@@ -59,9 +59,6 @@ class GrowthReport:
     sup_statistic: float
     argmax_n: int
 
-    def csv_line(self) -> str:
-        return f"{self.epsilon!r},{self.sup_statistic!r},{self.argmax_n}"
-
 
 @dataclass(frozen=True)
 class WalkComparison:

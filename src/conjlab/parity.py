@@ -85,9 +85,6 @@ class Realization:
     residue: int
     witness: int
 
-    def csv_line(self) -> str:
-        return f"{self.k},{self.residue},{self.witness}"
-
 
 @dataclass(frozen=True)
 class CompressibilityScore:

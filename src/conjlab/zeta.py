@@ -7,8 +7,9 @@ is enveloping, so for t >= 10 the tail is below twice its first omitted
 term).
 
 Z(t) = exp(i theta(t)) zeta(1/2 + it) is real with |Z| = |zeta| on the
-critical line, so each sign change of Z brackets a zero.  With
-tau = sqrt(t/2pi), m = floor(tau), p = tau - m and z = 2p - 1,
+critical line, so each sign change of Z brackets a zero.  The brackets
+are bisected in lockstep, one z_values call per halving step for all of
+them.  With tau = sqrt(t/2pi), m = floor(tau), p = tau - m, z = 2p - 1,
 
     Z(t) ~= 2 sum_{n<=m} cos(theta(t) - t log n) / sqrt(n)
             + (-1)^(m-1) tau^(-1/2)
@@ -184,7 +185,6 @@ def z_values(ts) -> np.ndarray:
 
 def z_function(t: float) -> ZEvaluation:
     """Z(t) with the number of main-sum terms and the calibrated accuracy."""
-    _check_t(t)
     zval = float(z_values(np.array([t]))[0])
     m = int(math.floor(math.sqrt(t / _TWO_PI)))
     return ZEvaluation(
@@ -213,32 +213,38 @@ def sign_changes(t_lo: float, t_hi: float, grid_step: float) -> list[ZeroBracket
     return [ZeroBracket(t_lo=float(ts[i]), t_hi=float(ts[i + 1])) for i in flips]
 
 
-def refine_zero(bracket: ZeroBracket, tol: float = 1e-9) -> float:
-    """Bisect a sign-change bracket down to width ``tol``."""
+def _bisect(brackets: list[ZeroBracket], tol: float) -> list[float]:
+    if not brackets:
+        return []
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    lo, hi = bracket.t_lo, bracket.t_hi
-    f_lo = float(z_values(np.array([lo]))[0])
-    f_hi = float(z_values(np.array([hi]))[0])
-    if not f_lo * f_hi < 0.0:
+    lo, hi = np.array([(b.t_lo, b.t_hi) for b in brackets], dtype=np.float64).T
+    f_lo, f_hi = np.split(z_values(np.concatenate([lo, hi])), 2)
+    if not (f_lo * f_hi < 0.0).all():
         raise ValueError("bracket endpoints must have opposite Z signs")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = float(z_values(np.array([mid]))[0])
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    live = np.flatnonzero(hi - lo > tol)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        f_mid = z_values(mid)
+        left = f_lo[live] * f_mid < 0.0
+        # an exact zero collapses its bracket onto mid = 0.5 * (mid + mid)
+        hi[live] = np.where(left | (f_mid == 0.0), mid, hi[live])
+        lo[live] = np.where(left, lo[live], mid)
+        f_lo[live] = np.where(left, f_lo[live], f_mid)
+        live = live[hi[live] - lo[live] > tol]
+    return (0.5 * (lo + hi)).tolist()
+
+
+def refine_zero(bracket: ZeroBracket, tol: float = 1e-9) -> float:
+    """Bisect to width ``tol``, one z_values call per halving step, as in zeros_in."""
+    return _bisect([bracket], tol)[0]
 
 
 def zeros_in(
     t_lo: float, t_hi: float, grid_step: float = 0.05, tol: float = 1e-9
 ) -> list[float]:
-    """Refined zero ordinates located by a scan of [t_lo, t_hi]."""
-    return [refine_zero(b, tol) for b in sign_changes(t_lo, t_hi, grid_step)]
+    """Scanned zeros of [t_lo, t_hi]; one z_values call per lockstep halving step."""
+    return _bisect(sign_changes(t_lo, t_hi, grid_step), tol)
 
 
 def _analytic_count(T: float) -> tuple[int, float, bool]:

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import conjlab.zeta as zeta
 from conjlab.zeta import (
     AnalyticCountWarning,
     RHReport,
@@ -123,6 +124,93 @@ def test_refine_zero_same_sign_rejected():
         refine_zero(ZeroBracket(15.0, 16.0))
     with pytest.raises(ValueError):
         refine_zero(ZeroBracket(14.0, 14.2), tol=0.0)
+
+
+def _refine_zero_scalar(bracket, tol):
+    """One-bracket, one-point-per-call bisection: the oracle for ``_bisect``."""
+    lo, hi = bracket.t_lo, bracket.t_hi
+    f_lo = float(z_values(np.array([lo]))[0])
+    f_hi = float(z_values(np.array([hi]))[0])
+    assert f_lo * f_hi < 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        f_mid = float(z_values(np.array([mid]))[0])
+        if f_mid == 0.0:
+            return mid
+        if f_lo * f_mid < 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.fixture
+def z_calls(monkeypatch):
+    """Route conjlab.zeta's Z evaluations through a shim that records each call."""
+    calls = []
+
+    def counting(ts):
+        calls.append(np.size(ts))
+        return z_values(ts)
+
+    monkeypatch.setattr(zeta, "z_values", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "args", [(10.0, 200.0, 0.05, 1e-12), (10.0, 60.0, 0.05, 1e-9)]
+)
+def test_zeros_in_matches_scalar_bisection(args):
+    expected = [_refine_zero_scalar(b, args[3]) for b in sign_changes(*args[:3])]
+    assert zeros_in(*args) == expected
+
+
+@pytest.mark.parametrize(
+    "bracket", [ZeroBracket(14.0, 14.2), ZeroBracket(20.9, 21.1), ZeroBracket(14, 15)]
+)
+def test_refine_zero_matches_scalar_bisection(bracket):
+    assert refine_zero(bracket, tol=1e-6) == _refine_zero_scalar(bracket, 1e-6)
+
+
+def test_zeros_in_one_z_call_per_halving_step(z_calls):
+    zs = zeros_in(10.0, 60.0, 0.05, 1e-9)
+    assert len(zs) == 13
+    # one scan, one call for all bracket ends, then one per halving step
+    assert len(z_calls) <= 3 + math.ceil(math.log2(0.05 / 1e-9))
+
+
+def test_zeros_in_without_sign_change_does_not_bisect(z_calls):
+    assert zeros_in(10.0, 14.0) == []
+    assert len(z_calls) == 1  # the scan only
+
+
+def test_refine_zero_checks_tol_before_evaluating(z_calls):
+    with pytest.raises(ValueError, match="tol"):
+        refine_zero(ZeroBracket(14.0, 14.2), tol=0.0)
+    assert z_calls == []
+
+
+def test_mixed_batch_raises_without_bisecting(monkeypatch, z_calls):
+    batch = [ZeroBracket(14.0, 14.2), ZeroBracket(15.0, 16.0)]
+    monkeypatch.setattr(zeta, "sign_changes", lambda *args: batch)
+    with pytest.raises(ValueError, match="opposite"):
+        zeros_in(10.0, 30.0)
+    assert z_calls == [4]  # the bracket ends only
+
+
+def test_exact_zero_midpoint_is_returned_while_others_bisect(monkeypatch):
+    hit, other = ZeroBracket(14.0, 14.2), ZeroBracket(20.9, 21.1)
+    mid = 0.5 * (hit.t_lo + hit.t_hi)
+    widths = []
+
+    def zero_at_mid(ts):
+        widths.append(np.size(ts))
+        return np.where(ts == mid, 0.0, z_values(ts))
+
+    monkeypatch.setattr(zeta, "z_values", zero_at_mid)
+    monkeypatch.setattr(zeta, "sign_changes", lambda *args: [hit, other])
+    assert zeros_in(10.0, 30.0, tol=1e-6) == [mid, _refine_zero_scalar(other, 1e-6)]
+    assert widths[:3] == [4, 2, 1]  # the bracket at the exact zero drops out
 
 
 def test_zeros_in_first_three():
