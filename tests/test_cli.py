@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from conjlab import cli
+
 _CMD = [sys.executable, "-m", "conjlab.cli"]
 
 
@@ -265,3 +267,470 @@ def test_repeat_runs_byte_identical():
         ("collatz", "verify", "--lo", 1, "--hi", 5000, "--budget", 500),
     ]:
         assert run(*args).stdout == run(*args).stdout
+
+
+# Literal stdout of every subcommand under both record formats, with the exit
+# code and the start of stderr: (argv, exit code, csv, jsonl, stderr prefix).
+_NEAR_HALF = (
+    "warning: theta(30.0)/pi + 1 = 3.564877 is within 0.3 of a half-integer; "
+    "the rounded count may be off by one\n"
+)
+_GOLDEN = [
+    (
+        ("collatz", "verify", "--lo", 1, "--hi", 1000, "--budget", 1000),
+        0,
+        "1,1000,1000,0,113\n",
+        (
+            '{"lo": 1, "hi": 1000, "verified_count": 1000, '
+            '"max_stopping_time_seen": 113, "counterexample_candidates": []}\n'
+        ),
+        "",
+    ),
+    (
+        ("collatz", "verify", "--lo", 25, "--hi", 28, "--budget", 5),
+        1,
+        (
+            "25,28,0,4,0\n"
+            "25,5,22\n"
+            "26,5,8\n"
+            "27,5,71\n"
+            "28,5,26\n"
+        ),
+        (
+            '{"lo": 25, "hi": 28, "verified_count": 0, "max_stopping_time_seen": 0, '
+            '"counterexample_candidates": [{"n": 25, "steps_taken": 5, '
+            '"last_iterate": 22}, {"n": 26, "steps_taken": 5, "last_iterate": 8}, '
+            '{"n": 27, "steps_taken": 5, "last_iterate": 71}, {"n": 28, '
+            '"steps_taken": 5, "last_iterate": 26}]}\n'
+        ),
+        "",
+    ),
+    (
+        (
+            "collatz", "verify", "--lo", 1, "--hi", 3000, "--budget", 120,
+            "--workers", 2, "--chunk-size", 700,
+        ),
+        1,
+        (
+            "1,3000,2997,3,116\n"
+            "2463,120,44\n"
+            "2631,120,2\n"
+            "2919,120,152\n"
+        ),
+        (
+            '{"lo": 1, "hi": 3000, "verified_count": 2997, '
+            '"max_stopping_time_seen": 116, "counterexample_candidates": [{"n": 2463, '
+            '"steps_taken": 120, "last_iterate": 44}, {"n": 2631, "steps_taken": 120, '
+            '"last_iterate": 2}, {"n": 2919, "steps_taken": 120, "last_iterate": 152}]}\n'
+        ),
+        "",
+    ),
+    (
+        ("collatz", "trajectory", "--n", 5, "--max-steps", 100),
+        0,
+        (
+            "0,5,1\n"
+            "1,8,0\n"
+            "2,4,0\n"
+            "3,2,0\n"
+            "4,1,1\n"
+        ),
+        (
+            '{"start": 5, "iterates": [5, 8, 4, 2, 1], "parities": [1, 0, 0, 0, 1], '
+            '"truncated": false}\n'
+        ),
+        "",
+    ),
+    (
+        ("collatz", "trajectory", "--n", 27, "--max-steps", 3),
+        1,
+        (
+            "0,27,1\n"
+            "1,41,1\n"
+            "2,62,0\n"
+            "3,31,1\n"
+        ),
+        (
+            '{"start": 27, "iterates": [27, 41, 62, 31], "parities": [1, 1, 0, 1], '
+            '"truncated": true}\n'
+        ),
+        "",
+    ),
+    (
+        ("collatz", "stopping-time", "--n", 27, "--budget", 1000),
+        0,
+        "27,70,4616\n",
+        '{"n": 27, "total_stopping_time": 70, "max_excursion": 4616}\n',
+        "",
+    ),
+    (
+        ("collatz", "stopping-time", "--n", 27, "--budget", 5),
+        1,
+        "",
+        "",
+        "",
+    ),
+    (
+        ("parity", "extract", "--n", 27, "--k", 16),
+        0,
+        "27,16,1101111101011011\n",
+        '{"n": 27, "k": 16, "bits": "1101111101011011"}\n',
+        "",
+    ),
+    (
+        ("parity", "realize", "--bits", "0110"),
+        0,
+        "4,6,6\n",
+        '{"k": 4, "residue": 6, "witness": 6}\n',
+        "",
+    ),
+    (
+        ("parity", "bijection", "--k", 8),
+        0,
+        "8,true\n",
+        '{"k": 8, "ok": true}\n',
+        "",
+    ),
+    (
+        ("parity", "score", "--bits", "01" * 24),
+        0,
+        "48,31,17\n",
+        '{"length": 48, "estimate": 31, "deficiency": 17}\n',
+        "",
+    ),
+    (
+        ("parity", "score", "--n", 27, "--k", 64),
+        0,
+        "64,78,-14\n",
+        '{"length": 64, "estimate": 78, "deficiency": -14}\n',
+        "",
+    ),
+    (
+        ("parity", "fraction", "--k", 64, "--samples", 8, "--seed", 1, "--workers", 2),
+        0,
+        "64,8,14,1.0\n",
+        '{"k": 64, "samples": 8, "threshold": 14, "fraction": 1.0}\n',
+        "",
+    ),
+    (
+        ("walk", "simulate", "--trials", 4, "--steps", 100, "--seed", 3),
+        0,
+        "4,100,-0.18503899705094456,0.04144137777820902,1.0\n",
+        (
+            '{"trials": 4, "steps": 100, "mean_step_drift": -0.18503899705094456, '
+            '"std_error": 0.04144137777820902, "fraction_descended": 1.0}\n'
+        ),
+        "",
+    ),
+    (
+        ("walk", "simulate", "--trials", 3, "--steps", 0),
+        0,
+        "3,0,0.0,0.0,0.0\n",
+        (
+            '{"trials": 3, "steps": 0, "mean_step_drift": 0.0, "std_error": 0.0, '
+            '"fraction_descended": 0.0}\n'
+        ),
+        "",
+    ),
+    (
+        ("walk", "empirical", "--lo", 1, "--count", 10, "--k", 8),
+        0,
+        "1,10,8,0.38636363636363635\n",
+        '{"lo": 1, "count": 10, "k": 8, "frequency": 0.38636363636363635}\n',
+        "",
+    ),
+    (
+        ("mertens", "sieve", "--limit", 12),
+        0,
+        (
+            "1,1\n"
+            "2,-1\n"
+            "3,-1\n"
+            "4,0\n"
+            "5,-1\n"
+            "6,1\n"
+            "7,-1\n"
+            "8,0\n"
+            "9,0\n"
+            "10,1\n"
+            "11,-1\n"
+            "12,0\n"
+        ),
+        (
+            '{"n": 1, "mu": 1}\n'
+            '{"n": 2, "mu": -1}\n'
+            '{"n": 3, "mu": -1}\n'
+            '{"n": 4, "mu": 0}\n'
+            '{"n": 5, "mu": -1}\n'
+            '{"n": 6, "mu": 1}\n'
+            '{"n": 7, "mu": -1}\n'
+            '{"n": 8, "mu": 0}\n'
+            '{"n": 9, "mu": 0}\n'
+            '{"n": 10, "mu": 1}\n'
+            '{"n": 11, "mu": -1}\n'
+            '{"n": 12, "mu": 0}\n'
+        ),
+        "",
+    ),
+    (
+        ("mertens", "sieve", "--limit", 100, "--head", 5),
+        0,
+        (
+            "1,1\n"
+            "2,-1\n"
+            "3,-1\n"
+            "4,0\n"
+            "5,-1\n"
+        ),
+        (
+            '{"n": 1, "mu": 1}\n'
+            '{"n": 2, "mu": -1}\n'
+            '{"n": 3, "mu": -1}\n'
+            '{"n": 4, "mu": 0}\n'
+            '{"n": 5, "mu": -1}\n'
+        ),
+        "",
+    ),
+    (
+        ("mertens", "sieve", "--limit", 100, "--head", 0),
+        0,
+        "",
+        "",
+        "",
+    ),
+    (
+        ("mertens", "sieve", "--limit", 100, "--head", -2),
+        0,
+        "",
+        "",
+        "",
+    ),
+    (
+        ("mertens", "series", "--limit", 1000),
+        0,
+        "1000,2\n",
+        '{"n": 1000, "M": 2}\n',
+        "",
+    ),
+    (
+        ("mertens", "series", "--limit", 1000, "--at", "1,10,1000"),
+        0,
+        (
+            "1,1\n"
+            "10,-1\n"
+            "1000,2\n"
+        ),
+        (
+            '{"n": 1, "M": 1}\n'
+            '{"n": 10, "M": -1}\n'
+            '{"n": 1000, "M": 2}\n'
+        ),
+        "",
+    ),
+    (
+        ("mertens", "growth", "--limit", 1000, "--epsilon", 0.1),
+        0,
+        "0.1,0.7614615754863515,5\n",
+        '{"epsilon": 0.1, "sup": 0.7614615754863515, "argmax": 5}\n',
+        "",
+    ),
+    (
+        ("mertens", "compare", "--limit", 2000, "--trials", 1, "--seed", 3),
+        0,
+        "2000,1,1215,0.8944271909999159,2.1572774865200244,0.0,31.0,0.0\n",
+        (
+            '{"n": 2000, "trials": 1, "walk_length": 1215, '
+            '"mertens_statistic": 0.8944271909999159, '
+            '"walk_mean_statistic": 2.1572774865200244, "percentile_rank": 0.0, '
+            '"mean_final_position": 31.0, "final_position_sem": 0.0}\n'
+        ),
+        "",
+    ),
+    (
+        (
+            "mertens", "compare", "--limit", 500, "--trials", 4, "--seed", 2,
+            "--workers", 2,
+        ),
+        0,
+        (
+            "500,4,306,0.8944271909999159,2.354614290784699,0.0,-8.0,"
+            "10.708252269472673\n"
+        ),
+        (
+            '{"n": 500, "trials": 4, "walk_length": 306, '
+            '"mertens_statistic": 0.8944271909999159, '
+            '"walk_mean_statistic": 2.354614290784699, "percentile_rank": 0.0, '
+            '"mean_final_position": -8.0, "final_position_sem": 10.708252269472673}\n'
+        ),
+        "",
+    ),
+    (
+        ("zeta", "theta", "--t", 30.0),
+        0,
+        "30.0,8.057800136548158,3.1639885034946764e-11\n",
+        (
+            '{"t": 30.0, "theta": 8.057800136548158, '
+            '"error_bound": 3.1639885034946764e-11}\n'
+        ),
+        "",
+    ),
+    (
+        ("zeta", "z", "--t", 100.0),
+        0,
+        "100.0,2.692695499523194,3,9.486832980505138e-06\n",
+        (
+            '{"t": 100.0, "z": 2.692695499523194, "terms": 3, '
+            '"error_bound": 9.486832980505138e-06}\n'
+        ),
+        "",
+    ),
+    (
+        ("zeta", "scan", "--lo", 10.0, "--hi", 30.0),
+        0,
+        (
+            "14.100000000000001,14.15\n"
+            "21.0,21.05\n"
+            "25.0,25.05\n"
+        ),
+        (
+            '{"t_lo": 14.100000000000001, "t_hi": 14.15}\n'
+            '{"t_lo": 21.0, "t_hi": 21.05}\n'
+            '{"t_lo": 25.0, "t_hi": 25.05}\n'
+        ),
+        "",
+    ),
+    (
+        ("zeta", "scan", "--lo", 10.0, "--hi", 14.0),
+        0,
+        "",
+        "",
+        "",
+    ),
+    (
+        ("zeta", "count", "--at", 30.0),
+        0,
+        "30.0,4\n",
+        '{"T": 30.0, "count": 4}\n',
+        _NEAR_HALF,
+    ),
+    (
+        ("zeta", "count", "--at", 100.0),
+        0,
+        "100.0,29\n",
+        '{"T": 100.0, "count": 29}\n',
+        "",
+    ),
+    (
+        ("zeta", "refine", "--lo", 10.0, "--hi", 26.0),
+        0,
+        (
+            "1,14.134822979941964\n"
+            "2,21.022037219628693\n"
+            "3,25.01087076924741\n"
+        ),
+        (
+            '{"index": 1, "t": 14.134822979941964}\n'
+            '{"index": 2, "t": 21.022037219628693}\n'
+            '{"index": 3, "t": 25.01087076924741}\n'
+        ),
+        "",
+    ),
+    (
+        ("zeta", "refine", "--lo", 10.0, "--hi", 14.0),
+        0,
+        "",
+        "",
+        "",
+    ),
+    (
+        ("zeta", "verify", "--T", 100.0),
+        0,
+        "100.0,29,29,true,0.05\n",
+        (
+            '{"T": 100.0, "sign_change_count": 29, "analytic_count": 29, '
+            '"verified": true, "grid_step": 0.05}\n'
+        ),
+        "",
+    ),
+    (
+        ("zeta", "verify", "--T", 30.0, "--max-refinements", 1),
+        1,
+        "30.0,3,4,false,0.025\n",
+        (
+            '{"T": 30.0, "sign_change_count": 3, "analytic_count": 4, '
+            '"verified": false, "grid_step": 0.025}\n'
+        ),
+        _NEAR_HALF,
+    ),
+    (
+        ("collatz", "verify", "--lo", 5, "--hi", 1, "--budget", 10),
+        2,
+        "",
+        "",
+        "error: range is empty: hi < lo\n",
+    ),
+    (
+        ("parity", "score"),
+        2,
+        "",
+        "",
+        "error: provide --bits, or both --n and --k\n",
+    ),
+    (
+        ("mertens", "sieve", "--limit", 0, "--head", 0),
+        2,
+        "",
+        "",
+        "error: limit must be a positive integer\n",
+    ),
+    (
+        ("mertens", "sieve", "--limit", 3000000000, "--head", 4),
+        2,
+        "",
+        "",
+        "error: limit must not exceed 2147483647\n",
+    ),
+    (
+        ("mertens", "series", "--limit", 100, "--at", "10,101"),
+        2,
+        "",
+        "",
+        "error: --at value 101 outside [1, 100]\n",
+    ),
+    (
+        ("mertens", "series", "--limit", 0, "--at", "1"),
+        2,
+        "",
+        "",
+        "error: limit must be a positive integer\n",
+    ),
+    (
+        ("zeta", "verify", "--T", 13.0),
+        2,
+        "",
+        "",
+        "error: T must be >= 14 (below the first zero the report is vacuous)\n",
+    ),
+    (
+        ("zeta", "nonsense"),
+        2,
+        "",
+        "",
+        "usage:",
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize(
+    "argv,code,csv,jsonl,err", _GOLDEN, ids=[" ".join(map(str, g[0])) for g in _GOLDEN]
+)
+def test_golden_stdout(argv, code, csv, jsonl, err, fmt, capsys):
+    try:
+        got = cli.main([str(a) for a in argv] + ["--format", fmt])
+    except SystemExit as e:  # argparse usage errors
+        got = e.code
+    out, stderr = capsys.readouterr()
+    assert got == code
+    assert out == (csv if fmt == "csv" else jsonl)
+    assert stderr.startswith(err)
