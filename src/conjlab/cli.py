@@ -1,9 +1,10 @@
 """Command-line front end.
 
 One subcommand group per library module.  Data go to stdout, one CSV or
-JSON line per record; diagnostics (timings, warnings, expected values)
-go to stderr so stdout stays byte-stable for a fixed invocation.  Floats
-are printed with repr, the shortest round-trip form.
+JSON line per record; diagnostics (timings, expected values) go to
+stderr so stdout stays byte-stable for a fixed invocation.  Every
+subcommand forwards library warnings to stderr as ``warning: <message>``.
+Floats are printed with repr, the shortest round-trip form.
 
 Exit codes: 0 success / property verified, 1 budget exhausted or
 property not confirmed (candidates found, truncated orbit, count
@@ -11,13 +12,20 @@ mismatch), 2 usage or domain error.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
 
 from . import __version__
 from .collatz import DEFAULT_CHUNK_SIZE, total_stopping_time, trajectory, verify_range
-from .mobius import growth_statistic, mertens, mobius_sieve, random_walk_compare
+from .mobius import (
+    _validate_limit,
+    growth_statistic,
+    mertens,
+    mobius_sieve,
+    random_walk_compare,
+)
 from .parity import (
     ESTIMATOR_ID,
     bijection_check,
@@ -53,9 +61,7 @@ _BANNER = (
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return str(v)  # str of a float is its repr
 
 
 def _emit(fields: tuple[str, ...], rows, fmt: str) -> None:
@@ -66,9 +72,13 @@ def _emit(fields: tuple[str, ...], rows, fmt: str) -> None:
             print(json.dumps(dict(zip(fields, row))))
 
 
-def _forward_warnings(caught) -> None:
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+def _records(recs, fmt: str, names=None) -> None:
+    """One row per dataclass record, its fields in declaration order; ``names``
+    renames the leading fields by position and keeps only that many."""
+    for rec in recs:
+        fields = tuple(f.name for f in dataclasses.fields(rec))
+        keys = names or fields
+        _emit(keys, [[getattr(rec, f) for f in fields[: len(keys)]]], fmt)
 
 
 def _cmd_collatz_verify(args) -> int:
@@ -92,24 +102,14 @@ def _cmd_collatz_verify(args) -> int:
             f"{rep.lo},{rep.hi},{rep.verified_count},"
             f"{len(rep.counterexample_candidates)},{rep.max_stopping_time_seen}"
         )
-        for c in rep.counterexample_candidates:
-            print(c.csv_line())
+        _records(rep.counterexample_candidates, "csv")
     return 1 if rep.counterexample_candidates else 0
 
 
 def _cmd_collatz_trajectory(args) -> int:
     traj = trajectory(args.n, args.max_steps)
     if args.format == "jsonl":
-        print(
-            json.dumps(
-                {
-                    "start": traj.start,
-                    "iterates": list(traj.iterates),
-                    "parities": list(traj.parities),
-                    "truncated": traj.truncated,
-                }
-            )
-        )
+        _records([traj], "jsonl")
     else:
         _emit(
             ("step", "value", "parity"),
@@ -124,11 +124,7 @@ def _cmd_collatz_stopping(args) -> int:
     if rec is None:
         print(f"budget {args.budget} exhausted before n={args.n} reached 1", file=sys.stderr)
         return 1
-    _emit(
-        ("n", "total_stopping_time", "max_excursion"),
-        [(rec.n, rec.total_stopping_time, rec.max_excursion)],
-        args.format,
-    )
+    _records([rec], args.format)
     return 0
 
 
@@ -139,8 +135,7 @@ def _cmd_parity_extract(args) -> int:
 
 
 def _cmd_parity_realize(args) -> int:
-    r = realize(args.bits)
-    _emit(("k", "residue", "witness"), [(r.k, r.residue, r.witness)], args.format)
+    _records([realize(args.bits)], args.format)
     return 0
 
 
@@ -159,11 +154,7 @@ def _cmd_parity_score(args) -> int:
         raise ValueError("provide --bits, or both --n and --k")
     s = description_length_estimate(x)
     print(f"estimator={s.estimator} overhead_bits={s.overhead_bits}", file=sys.stderr)
-    _emit(
-        ("length", "estimate", "deficiency"),
-        [(s.length, s.estimate, s.deficiency)],
-        args.format,
-    )
+    _records([s], args.format, ("length", "estimate", "deficiency"))
     return 0
 
 
@@ -186,19 +177,7 @@ def _cmd_walk_simulate(args) -> int:
         workers=args.workers,
     )
     print(f"expected_step_drift={expected_step_drift(args.p_odd)!r}", file=sys.stderr)
-    _emit(
-        ("trials", "steps", "mean_step_drift", "std_error", "fraction_descended"),
-        [
-            (
-                summary.trials,
-                summary.steps,
-                summary.mean_step_drift,
-                summary.std_error,
-                summary.fraction_descended,
-            )
-        ],
-        args.format,
-    )
+    _records([summary], args.format)
     return 0
 
 
@@ -213,8 +192,9 @@ def _cmd_walk_empirical(args) -> int:
 
 
 def _cmd_mertens_sieve(args) -> int:
-    table = mobius_sieve(args.limit)
+    _validate_limit(args.limit)
     upto = args.limit if args.head is None else min(args.head, args.limit)
+    table = mobius_sieve(max(upto, 1))  # mu(n) does not depend on --limit
     _emit(
         ("n", "mu"),
         ((n, int(table.values[n])) for n in range(1, upto + 1)),
@@ -224,14 +204,13 @@ def _cmd_mertens_sieve(args) -> int:
 
 
 def _cmd_mertens_series(args) -> int:
-    series = mertens(args.limit)
-    if args.at is None:
-        points = [args.limit]
-    else:
-        points = [int(s) for s in args.at.split(",") if s.strip()]
-        for n in points:
-            if not 1 <= n <= args.limit:
-                raise ValueError(f"--at value {n} outside [1, {args.limit}]")
+    _validate_limit(args.limit)
+    at = str(args.limit) if args.at is None else args.at
+    points = [int(s) for s in at.split(",") if s.strip()]
+    for n in points:
+        if not 1 <= n <= args.limit:
+            raise ValueError(f"--at value {n} outside [1, {args.limit}]")
+    series = mertens(max(points, default=1))  # nor does M(n)
     _emit(
         ("n", "M"),
         [(n, int(series.partial_sums[n])) for n in points],
@@ -242,71 +221,34 @@ def _cmd_mertens_series(args) -> int:
 
 def _cmd_mertens_growth(args) -> int:
     g = growth_statistic(mertens(args.limit), args.epsilon)
-    _emit(
-        ("epsilon", "sup", "argmax"),
-        [(g.epsilon, g.sup_statistic, g.argmax_n)],
-        args.format,
-    )
+    _records([g], args.format, ("epsilon", "sup", "argmax"))
     return 0
 
 
 def _cmd_mertens_compare(args) -> int:
     c = random_walk_compare(args.limit, args.trials, args.seed, workers=args.workers)
-    _emit(
-        (
-            "n",
-            "trials",
-            "walk_length",
-            "mertens_statistic",
-            "walk_mean_statistic",
-            "percentile_rank",
-            "mean_final_position",
-            "final_position_sem",
-        ),
-        [
-            (
-                c.n_limit,
-                c.trials,
-                c.walk_length,
-                c.mertens_statistic,
-                c.walk_mean_statistic,
-                c.percentile_rank,
-                c.mean_final_position,
-                c.final_position_sem,
-            )
-        ],
-        args.format,
-    )
+    names = [f.name for f in dataclasses.fields(c)]
+    _records([c], args.format, ("n", *names[1:]))
     return 0
 
 
 def _cmd_zeta_theta(args) -> int:
-    tv = theta_value(args.t)
-    _emit(("t", "theta", "error_bound"), [(tv.t, tv.theta, tv.error_bound)], args.format)
+    _records([theta_value(args.t)], args.format)
     return 0
 
 
 def _cmd_zeta_z(args) -> int:
-    ze = z_function(args.t)
-    _emit(
-        ("t", "z", "terms", "error_bound"),
-        [(ze.t, ze.z, ze.terms, ze.error_bound)],
-        args.format,
-    )
+    _records([z_function(args.t)], args.format)
     return 0
 
 
 def _cmd_zeta_scan(args) -> int:
-    brackets = sign_changes(args.lo, args.hi, args.step)
-    _emit(("t_lo", "t_hi"), [(b.t_lo, b.t_hi) for b in brackets], args.format)
+    _records(sign_changes(args.lo, args.hi, args.step), args.format)
     return 0
 
 
 def _cmd_zeta_count(args) -> int:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        count = zero_count_analytic(args.at)
-    _forward_warnings(caught)
+    count = zero_count_analytic(args.at)
     _emit(("T", "count"), [(args.at, count)], args.format)
     return 0
 
@@ -318,15 +260,8 @@ def _cmd_zeta_refine(args) -> int:
 
 
 def _cmd_zeta_verify(args) -> int:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rep = verify_rh(args.T, args.step, args.max_refinements)
-    _forward_warnings(caught)
-    _emit(
-        ("T", "sign_change_count", "analytic_count", "verified", "grid_step"),
-        [(rep.T, rep.sign_change_count, rep.analytic_count, rep.verified, rep.grid_step)],
-        args.format,
-    )
+    rep = verify_rh(args.T, args.step, args.max_refinements)
+    _records([rep], args.format)
     return 0 if rep.verified else 1
 
 
@@ -478,11 +413,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return args.func(args)
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

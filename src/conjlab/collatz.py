@@ -22,10 +22,11 @@ path bit for bit.
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+from .rng import _pmap
 
 __all__ = [
     "step",
@@ -84,9 +85,6 @@ class CandidateRecord:
     n: int
     steps_taken: int
     last_iterate: int
-
-    def csv_line(self) -> str:
-        return f"{self.n},{self.steps_taken},{self.last_iterate}"
 
 
 @dataclass
@@ -287,21 +285,15 @@ def verify_range(
         raise ValueError("floor must be a positive integer when given")
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
 
     exit_floor = 2 if floor is None else max(2, floor)
     t0 = time.perf_counter()
 
     chunks = [(a, min(a + chunk_size - 1, hi)) for a in range(lo, hi + 1, chunk_size)]
 
-    if workers == 1 or len(chunks) == 1:
-        results = [_sweep_chunk(a, b, budget, exit_floor) for a, b in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda ab: _sweep_chunk(ab[0], ab[1], budget, exit_floor), chunks)
-            )
+    results = _pmap(
+        lambda ab: _sweep_chunk(ab[0], ab[1], budget, exit_floor), chunks, workers
+    )
 
     verified = 0
     max_steps = -1

@@ -12,13 +12,12 @@ Riemann hypothesis; comparing it against the same statistic for genuine
 +-1 random walks of matching length shows how unusually tame M is.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
 
-from .rng import substream
+from .rng import _pmap, substream
 
 __all__ = [
     "MobiusTable",
@@ -193,15 +192,11 @@ def random_walk_compare(
         raise ValueError("trials must be at least 1")
     series = mertens(limit, segment_size)
     m_stat = growth_statistic(series, 0.0)
-    length = sum(
-        int(np.count_nonzero(mu)) for _, mu in mobius_segments(limit, segment_size)
-    )
+    # mu(n) = M(n) - M(n-1), so the squarefree n are where the series moves
+    m = series.partial_sums
+    length = int(np.count_nonzero(m[1:] != m[:-1]))
     tasks = [(seed, i, length) for i in range(trials)]
-    if workers == 1:
-        results = list(map(_walk_statistic, tasks))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_walk_statistic, tasks))
+    results = _pmap(_walk_statistic, tasks, workers)
     stats = np.array([r[0] for r in results])
     finals = np.array([r[1] for r in results], dtype=np.float64)
     sem = float(finals.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import substream
+from .rng import _pmap, substream
 
 __all__ = [
     "ParityVector",
@@ -300,11 +300,5 @@ def random_fraction(
     if threshold is None:
         threshold = estimator_overhead(k)
     tasks = [(k, seed, i, threshold) for i in range(samples)]
-    if workers == 1:
-        hits = sum(map(_sample_deficient, tasks))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(_sample_deficient, tasks))
+    hits = sum(_pmap(_sample_deficient, tasks, workers))
     return hits / samples

@@ -15,12 +15,11 @@ come to the fair-coin assumption.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import substream
+from .rng import _pmap, substream
 
 __all__ = [
     "WalkConfig",
@@ -94,11 +93,7 @@ def heuristic_walk(config: WalkConfig, *, workers: int = 1) -> WalkSummary:
             fraction_descended=0.0,
         )
     tasks = [(config, i) for i in range(config.trials)]
-    if workers == 1:
-        stats = list(map(_trial_stats, tasks))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(_trial_stats, tasks))
+    stats = _pmap(_trial_stats, tasks, workers)
     drifts = np.array([s[0] for s in stats])
     finals = np.array([s[1] for s in stats])
     sem = float(drifts.std(ddof=1) / math.sqrt(config.trials)) if config.trials > 1 else 0.0

@@ -734,3 +734,31 @@ def test_golden_stdout(argv, code, csv, jsonl, err, fmt, capsys):
     assert got == code
     assert out == (csv if fmt == "csv" else jsonl)
     assert stderr.startswith(err)
+
+
+@pytest.mark.parametrize(
+    "argv,sieved",
+    [
+        (["mertens", "sieve", "--limit", "100000000", "--head", "4"], 4),
+        (["mertens", "sieve", "--limit", "30"], 30),
+        (["mertens", "sieve", "--limit", "100000000", "--head", "0"], 1),
+        (["mertens", "series", "--limit", "100000000", "--at", "10,100"], 100),
+        (["mertens", "series", "--limit", "30"], 30),
+    ],
+)
+def test_mertens_sieves_only_as_far_as_printed(argv, sieved, monkeypatch, capsys):
+    limits = []
+
+    def recording(fn):
+        def wrapper(limit, *args, **kwargs):
+            limits.append(limit)
+            assert limit <= 1000, "sieved past what is printed"
+            return fn(limit, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "mobius_sieve", recording(cli.mobius_sieve))
+    monkeypatch.setattr(cli, "mertens", recording(cli.mertens))
+    assert cli.main(argv) == 0
+    assert limits == [sieved]
+    assert capsys.readouterr().err == ""

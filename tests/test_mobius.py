@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import conjlab.mobius
 from conjlab.mobius import (
     GrowthReport,
     growth_statistic,
@@ -165,3 +166,22 @@ def test_random_walk_compare_validation():
         random_walk_compare(1, 10, seed=0)
     with pytest.raises(ValueError):
         random_walk_compare(100, 0, seed=0)
+
+
+def test_random_walk_compare_sieves_once(monkeypatch):
+    passes = []
+    segments = conjlab.mobius.mobius_segments
+
+    def counting(limit, *args, **kwargs):
+        passes.append(limit)
+        yield from segments(limit, *args, **kwargs)
+
+    monkeypatch.setattr(conjlab.mobius, "mobius_segments", counting)
+    random_walk_compare(1000, 2, seed=0)
+    assert passes == [1000]
+
+
+@pytest.mark.parametrize("limit", [2, 3, 1000])
+def test_walk_length_is_squarefree_count(limit):
+    r = random_walk_compare(limit, 1, seed=0, segment_size=7)
+    assert r.walk_length == mobius_sieve(limit).squarefree_count()

@@ -1,8 +1,11 @@
 import math
+import threading
 
 import pytest
 
-from conjlab.rng import substream
+from conjlab.mobius import random_walk_compare
+from conjlab.parity import random_fraction
+from conjlab.rng import _pmap, substream
 from conjlab.stochastic import (
     WalkConfig,
     WalkSummary,
@@ -124,3 +127,27 @@ def test_empirical_parity_frequency_validation():
         empirical_parity_frequency(1, 0, 4)
     with pytest.raises(ValueError):
         empirical_parity_frequency(1, 10, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: random_fraction(16, 4, seed=0, workers=w),
+        lambda w: heuristic_walk(WalkConfig(trials=4, steps=10, seed=0), workers=w),
+        lambda w: random_walk_compare(100, 4, seed=0, workers=w),
+    ],
+    ids=["random_fraction", "heuristic_walk", "random_walk_compare"],
+)
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_rejected(call, workers):
+    with pytest.raises(ValueError, match="^workers must be at least 1$"):
+        call(workers)
+
+
+def test_pmap_keeps_task_order_and_runs_small_maps_inline():
+    tasks = list(range(50))
+    assert _pmap(lambda t: t * t, tasks, 4) == [t * t for t in tasks]
+    here = threading.get_ident()
+    assert _pmap(lambda t: threading.get_ident(), tasks, 1) == [here] * 50
+    assert _pmap(lambda t: threading.get_ident(), [0], 4) == [here]
+    assert _pmap(lambda t: t, [], 4) == []
