@@ -13,6 +13,16 @@ exhausted the step budget without doing so.  Budget exhaustion is never
 evidence of divergence; candidates are reported for re-runs with a
 larger budget.
 
+The sweep never re-walks an orbit it has already finished.  Each start
+n is followed only until it reaches the floor, or descends onto a
+smaller start of the same sweep (a descent link); the first up-to-16
+steps of most starts come in closed form from a table over the residues
+mod 2^16, and about 97% of those residues descend within them.  The
+starts are then resolved in ascending order: a start's total is its own
+steps plus the total of the start it links to, so every reported count
+is still the exact total stopping time (steps to the floor, when one is
+given), and no start ever links to one that is not yet resolved.
+
 The sweep is exact integer arithmetic throughout.  Starts that fit in
 64 bits are advanced in vectorized numpy blocks; any iterate that could
 overflow ``3*v + 1`` in uint64 is promoted to a plain Python integer
@@ -20,13 +30,14 @@ continuation mid-flight, so results are identical to the pure-Python
 path bit for bit.
 """
 
+import functools
 import json
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import _pmap
+from .rng import _check_workers, _pmap
 
 __all__ = [
     "step",
@@ -46,6 +57,16 @@ DEFAULT_CHUNK_SIZE = 1 << 16
 _U64_GUARD = (2**64 - 2) // 3
 # Largest start admitted to the numpy path at all.
 _U64_MAX_START = 2**63
+# Starts below _JUMP_LIMIT take their first up-to-16 steps in closed form
+# from a residue mod 2^16.  T^j(n) + 1 <= (3/2)^j (n + 1), so for j <= 16
+# the closed form fits in uint64 whenever n + 1 <= 2^80 / 3^16.
+_JUMP_BITS = 16
+_JUMP_MASK = (1 << _JUMP_BITS) - 1
+_JUMP_LIMIT = 2**80 // 3**16
+# Step counts saturate here; no orbit a sweep can follow takes 2^61 steps.
+_CAP = 2**61
+# Blocks this small continue in Python ints, cheaper than a numpy step.
+_PY_TAIL = 64
 
 
 def step(n: int) -> int:
@@ -168,90 +189,208 @@ def _follow_py(v: int, budget: int, exit_floor: int) -> tuple[bool, int, int]:
     each step and once more after the final one, so a start that lands
     below the floor on exactly the last allowed step still counts.
     """
-    for k in range(budget + 1):
+    for k in range(budget):
         if v < exit_floor:
             return True, k, v
-        if k == budget:
-            break
         v = (3 * v + 1) >> 1 if v & 1 else v >> 1
-    return False, budget, v
+    return v < exit_floor, budget, v
 
 
-def _sweep_chunk(
-    lo: int, hi: int, budget: int, exit_floor: int
-) -> tuple[int, int, list[CandidateRecord]]:
-    """Classify every start in [lo, hi].
+def _descend_py(
+    v: int, k: int, thr: int, lo: int, budget: int, exit_floor: int
+) -> tuple[int | None, int, int]:
+    """Continue a start from iterate ``v`` after ``k`` steps, in Python ints.
 
-    Returns (verified_count, max_steps_among_verified, candidates).
+    ``thr`` is the start itself, or ``exit_floor`` once the orbit has
+    dropped below the sweep.  Returns (steps, link, last) as ``_descend``
+    records them, with steps None when the budget runs out first; ``last``
+    is then the iterate after ``budget`` steps.  Only the first fall below
+    the start is tested for a link; below ``lo`` the orbit is followed to
+    the floor.
     """
-    size = hi - lo + 1
+    below, used, v = _follow_py(v, budget - k, thr)
+    k += used
+    if below and v >= exit_floor and v < lo:
+        below, used, v = _follow_py(v, budget - k, exit_floor)
+        k += used
+    if not below:
+        return None, -1, v
+    return k, (-1 if v < exit_floor else v - lo), v
 
-    if hi >= _U64_MAX_START:
-        verified = 0
-        max_steps = -1
-        cands = []
-        for n in range(lo, hi + 1):
-            exited, k, last = _follow_py(n, budget, exit_floor)
-            if exited:
-                verified += 1
-                if k > max_steps:
-                    max_steps = k
-            else:
-                cands.append(CandidateRecord(n=n, steps_taken=k, last_iterate=last))
-        return verified, max_steps, cands
 
-    v = np.arange(lo, hi + 1, dtype=np.uint64)
-    pos = np.arange(size, dtype=np.int64)
-    steps_out = np.full(size, -1, dtype=np.int64)
-    # (position, value, steps so far) for iterates promoted out of uint64 range
-    promoted: list[tuple[int, int, int]] = []
-    cand_by_pos: dict[int, tuple[int, int]] = {}
+@functools.cache
+def _residue_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form first descent of every residue r mod 2^16.
 
-    ef = np.uint64(exit_floor)
-    one = np.uint64(1)
-    three = np.uint64(3)
-    guard = np.uint64(_U64_GUARD)
+    For n = q * 2^16 + r the first j <= 16 steps follow r's parities, so
+    T^j(n) = 3^a * 2^(16-j) * q + T^j(r) with a the odd steps among them.
+    Per residue: j, the first step with 3^a < 2^j (16 if there is none),
+    the coefficient 3^a * 2^(16-j), and T^j(r).  Every iterate before j
+    exceeds n, because 3^a > 2^i there.  Built on first use.
+    """
+    r = np.arange(1 << _JUMP_BITS, dtype=np.int64)
+    v = r.copy()
+    odd_steps = np.zeros(r.size, dtype=np.int64)
+    pow3 = 3 ** np.arange(_JUMP_BITS + 1)
+    first = np.full(r.size, _JUMP_BITS, dtype=np.int64)
+    coef = np.zeros(r.size, dtype=np.int64)
+    t_r = np.zeros(r.size, dtype=np.int64)
+    open_ = np.ones(r.size, dtype=bool)
+    for i in range(1, _JUMP_BITS + 1):
+        odd = v & 1
+        v = (v + odd * (2 * v + 1)) >> 1
+        odd_steps += odd
+        # residues still open after the last step keep j = 16
+        hit = open_ & (pow3[odd_steps] < 2**i) if i < _JUMP_BITS else open_
+        first[hit] = i
+        coef[hit] = pow3[odd_steps[hit]] << (_JUMP_BITS - i)
+        t_r[hit] = v[hit]
+        open_ &= ~hit
+    table = first, coef.astype(np.uint64), t_r.astype(np.uint64)
+    for column in table:
+        column.setflags(write=False)  # one cached copy serves every sweep
+    return table
 
-    k = 0
-    while True:
-        done = v < ef
-        if done.any():
-            steps_out[pos[done]] = k
-            keep = ~done
-            v = v[keep]
-            pos = pos[keep]
-        if v.size == 0 or k == budget:
-            break
-        big = v > guard
-        if big.any():
-            for p, val in zip(pos[big], v[big]):
-                promoted.append((int(p), int(val), k))
-            keep = ~big
-            v = v[keep]
-            pos = pos[keep]
+
+def _cap(budget: int) -> int:
+    """Saturated step count that marks a start over ``budget``."""
+    return min(budget, _CAP - 1) + 1
+
+
+def _descend(
+    a: int, offs: np.ndarray, lo: int, budget: int, exit_floor: int, steps, link
+) -> dict[int, int]:
+    """Phase 1: follow each start a + offs[i] to a root, a link or the budget.
+
+    A root is an iterate below ``exit_floor``.  A link is the first iterate
+    v below the start n when it lies in [lo, n); an orbit that first falls
+    below n under ``lo`` is followed on to a root.  Writes the steps taken
+    to ``steps[i]`` and v - lo to ``link[i]`` (-1 for a root).  A start
+    that exhausts the budget first gets ``steps[i] = _cap(budget)``, link
+    -1, and its iterate after ``budget`` steps in the returned dict, keyed
+    by i.  ``offs`` is ascending.  Below ``_JUMP_LIMIT`` the first up-to-16
+    steps are one residue-table lookup; iterates that could overflow
+    uint64, and the last few starts of a block, continue in Python ints.
+    """
+    cap = _cap(budget)
+    last: dict[int, int] = {}
+    tail: list[tuple[int, int, int, int]] = []  # (i, iterate, steps, threshold)
+    if a + int(offs[-1]) >= _U64_MAX_START:
+        tail = [(i, a + o, 0, max(a + o, exit_floor)) for i, o in enumerate(offs.tolist())]
+    else:
+        n = offs.astype(np.uint64) + np.uint64(a)
+        # floors and link bounds above the uint64 range act as if infinite
+        ef = np.uint64(min(exit_floor, _U64_MAX_START))
+        lo_u = np.uint64(min(lo, _U64_MAX_START))
+        thr = np.maximum(n, ef)
+        v = n
+        k0 = np.zeros(n.size, dtype=np.int64)
+        if a < _JUMP_LIMIT:
+            first, coef, t_r = _residue_table()
+            r = n & np.uint64(_JUMP_MASK)
+            j = first[r]
+            jump = (n >= ef) & (n < np.uint64(_JUMP_LIMIT))
+            if budget < _JUMP_BITS:
+                jump &= j <= budget
+            v = np.where(jump, coef[r] * (n >> np.uint64(_JUMP_BITS)) + t_r[r], n)
+            k0 = np.where(jump, j, 0)
+        state = [v, thr, k0, np.arange(n.size, dtype=np.int64)]
+        guard = np.uint64(_U64_GUARD)
+        k0_max = int(k0.max())
+        k = 0
+        while True:
+            v, thr, k0, pos = state
+            done = v < thr
+            if done.any():
+                d = np.flatnonzero(done)
+                vd = v[d]
+                root = vd < ef
+                fin = root | (vd >= lo_u)
+                f = d[fin]
+                pf = pos[f]
+                steps[pf] = k0[f] + k
+                link[pf] = np.where(root[fin], -1, (vd[fin] - lo_u).astype(np.int64))
+                # fell below the sweep: follow the orbit down to the floor
+                thr[d[~fin]] = ef
+                keep = np.ones(v.size, dtype=bool)
+                keep[f] = False
+                state = [x[keep] for x in state]
+                v, thr, k0, pos = state
+            if k + k0_max >= budget:
+                out = k0 + k >= budget
+                po = pos[out]
+                steps[po] = cap
+                link[po] = -1
+                last.update(zip(po.tolist(), v[out].tolist()))
+                state = [x[~out] for x in state]
+                v, thr, k0, pos = state
+            # near overflow, or too few left for numpy to pay: Python ints
+            move = v > guard if v.size > _PY_TAIL else np.ones(v.size, dtype=bool)
+            if move.any():
+                tail.extend(
+                    zip(pos[move].tolist(), v[move].tolist(), (k0[move] + k).tolist(),
+                        thr[move].tolist())
+                )
+                state = [x[~move] for x in state]
+                v = state[0]
             if v.size == 0:
                 break
-        odd = (v & one).astype(bool)
-        v = np.where(odd, three * v + one, v) >> one
-        k += 1
+            odd = (v & np.uint64(1)).astype(bool)
+            state[0] = np.where(odd, np.uint64(3) * v + np.uint64(1), v) >> np.uint64(1)
+            k += 1
 
-    for p, val in zip(pos, v):
-        cand_by_pos[int(p)] = (budget, int(val))
-
-    for p, val, k0 in promoted:
-        exited, rel, last = _follow_py(val, budget - k0, exit_floor)
-        if exited:
-            steps_out[p] = k0 + rel
+    for i, val, kk, t in tail:
+        s, ln, val = _descend_py(val, kk, t, lo, budget, exit_floor)
+        if s is None:
+            steps[i], link[i] = cap, -1
+            last[i] = val
         else:
-            cand_by_pos[p] = (budget, last)
+            steps[i], link[i] = s, ln
+    return last
 
-    verified_steps = steps_out[steps_out >= 0]
-    verified = int(verified_steps.size)
-    max_steps = int(verified_steps.max()) if verified else -1
-    cands = [
-        CandidateRecord(n=lo + p, steps_taken=s, last_iterate=last)
-        for p, (s, last) in sorted(cand_by_pos.items())
-    ]
+
+def _resolve_chunk(
+    a: int, b: int, lo: int, budget: int, exit_floor: int, steps, link
+) -> tuple[int, int, list[CandidateRecord]]:
+    """Phase 2: turn the steps of starts a..b into total stopping times.
+
+    Every start before a must be resolved already.  A start's total is
+    its own steps plus its link target's total; a total over the budget
+    makes the start a candidate, whose last iterate is recomputed with
+    links switched off.  Returns (verified_count,
+    max_steps_among_verified, candidates).
+    """
+    cap = _cap(budget)
+    s = slice(a - lo, b - lo + 1)
+    total = steps[s].astype(np.int64)
+    tgt = link[s].astype(np.int64)
+    # links into this chunk wait until their target is resolved
+    waiting = tgt >= a - lo
+    earlier = np.flatnonzero(~waiting & (tgt >= 0))
+    total[earlier] += steps[tgt[earlier]]
+    np.minimum(total, cap, out=total)
+    pending = np.flatnonzero(waiting)
+    while pending.size:
+        t = tgt[pending] - (a - lo)
+        ready = ~waiting[t]
+        idx = pending[ready]
+        total[idx] = np.minimum(total[idx] + total[t[ready]], cap)
+        waiting[idx] = False
+        pending = pending[~ready]
+    steps[s] = total
+
+    over = np.flatnonzero(total == cap)
+    cands = []
+    if over.size:
+        # no start of this chunk can link at or above b + 1
+        out = np.empty(over.size, dtype=np.int64)
+        last = _descend(a, over, b + 1, budget, exit_floor, out, out.copy())
+        cands = [
+            CandidateRecord(n=a + o, steps_taken=budget, last_iterate=last[i])
+            for i, o in enumerate(over.tolist())
+        ]
+    verified = total.size - over.size
+    max_steps = int(total[total < cap].max()) if verified else -1
     return verified, max_steps, cands
 
 
@@ -271,9 +410,21 @@ def verify_range(
     already known to converge.  The floor is an optimization only; passing
     ``floor=lo`` is sound when [1, lo) has been verified previously.
 
+    The sweep runs in two phases.  Phase 1 follows each start n only until
+    it reaches the floor (a root) or an iterate in [lo, n) (a descent link
+    to that smaller start), taking the first up-to-16 steps of most starts
+    from a residue table mod 2^16.  Phase 2 walks the starts in ascending
+    order and adds each link target's total to the start's own steps, so
+    every reported step count is still the exact number of steps to the
+    floor: the total stopping time when there is no floor.  A start whose
+    total exceeds the budget is a candidate, and its last iterate is
+    recomputed from the start.  Phase 1 holds two integer arrays over the
+    whole range, 8 bytes per start (16 for very wide ranges or budgets).
+
     The range is cut into fixed ``chunk_size`` blocks whose boundaries do
-    not depend on ``workers``, and per-chunk results are merged in range
-    order, so the report content is identical for any worker count.
+    not depend on ``workers``; phase 1 maps the blocks over the workers and
+    phase 2 merges them in range order, so the report content is identical
+    for any worker count.
     """
     if lo < 1:
         raise ValueError("lo must be a positive integer")
@@ -285,20 +436,31 @@ def verify_range(
         raise ValueError("floor must be a positive integer when given")
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
+    _check_workers(workers)
 
     exit_floor = 2 if floor is None else max(2, floor)
     t0 = time.perf_counter()
 
     chunks = [(a, min(a + chunk_size - 1, hi)) for a in range(lo, hi + 1, chunk_size)]
+    size = hi - lo + 1
+    small = max(size, budget + 1) < 2**31
+    steps = np.empty(size, dtype=np.int32 if small else np.int64)
+    link = np.empty(size, dtype=steps.dtype)
+    if lo < _JUMP_LIMIT:
+        _residue_table()  # build once, before workers share it
 
-    results = _pmap(
-        lambda ab: _sweep_chunk(ab[0], ab[1], budget, exit_floor), chunks, workers
-    )
+    def phase1(ab: tuple[int, int]) -> None:
+        a, b = ab
+        s = slice(a - lo, b - lo + 1)
+        _descend(a, np.arange(b - a + 1), lo, budget, exit_floor, steps[s], link[s])
+
+    _pmap(phase1, chunks, workers)
 
     verified = 0
     max_steps = -1
     cands: list[CandidateRecord] = []
-    for vc, ms, cs in results:
+    for a, b in chunks:
+        vc, ms, cs = _resolve_chunk(a, b, lo, budget, exit_floor, steps, link)
         verified += vc
         if ms > max_steps:
             max_steps = ms

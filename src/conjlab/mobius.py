@@ -17,7 +17,7 @@ from math import isqrt
 
 import numpy as np
 
-from .rng import _pmap, substream
+from .rng import _check_workers, _pmap, substream
 
 __all__ = [
     "MobiusTable",
@@ -190,6 +190,7 @@ def random_walk_compare(
         raise ValueError("limit must be at least 2")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _check_workers(workers)
     series = mertens(limit, segment_size)
     m_stat = growth_statistic(series, 0.0)
     # mu(n) = M(n) - M(n-1), so the squarefree n are where the series moves

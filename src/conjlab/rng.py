@@ -19,14 +19,18 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, index])))
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+
+
 def _pmap(fn, tasks: list, workers: int) -> list:
     """``[fn(t) for t in tasks]``, on ``workers`` threads when that can help.
 
     Results come back in task order whatever the worker count; runs serially
     when ``workers == 1`` or there is at most one task.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    _check_workers(workers)
     if workers == 1 or len(tasks) <= 1:
         return list(map(fn, tasks))
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import _pmap, substream
+from .rng import _check_workers, _pmap, substream
 
 __all__ = [
     "WalkConfig",
@@ -84,6 +84,7 @@ def heuristic_walk(config: WalkConfig, *, workers: int = 1) -> WalkSummary:
         raise ValueError("steps must be non-negative")
     if not 0.0 <= config.p_odd <= 1.0:
         raise ValueError("p_odd must lie in [0, 1]")
+    _check_workers(workers)
     if config.steps == 0:
         return WalkSummary(
             trials=config.trials,

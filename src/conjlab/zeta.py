@@ -236,14 +236,25 @@ def _bisect(brackets: list[ZeroBracket], tol: float) -> list[float]:
 
 
 def refine_zero(bracket: ZeroBracket, tol: float = 1e-9) -> float:
-    """Bisect to width ``tol``, one z_values call per halving step, as in zeros_in."""
+    """Bisect to width ``tol``, one z_values call per halving step, as in zeros_in.
+
+    ``tol`` bounds the width of the final bracket, not the distance to the
+    true zero; see ``zeros_in``.
+    """
     return _bisect([bracket], tol)[0]
 
 
 def zeros_in(
     t_lo: float, t_hi: float, grid_step: float = 0.05, tol: float = 1e-9
 ) -> list[float]:
-    """Scanned zeros of [t_lo, t_hi]; one z_values call per lockstep halving step."""
+    """Scanned zeros of [t_lo, t_hi]; one z_values call per lockstep halving step.
+
+    Each ordinate is the midpoint of a bracket bisected to width ``tol``.
+    ``tol`` bounds that width, not the distance to the true zero, which is
+    set by Z's error bound over |Z'| there: for ``zeros_in(10, 60)`` the
+    first zero is 9.8e-5 from mpmath's ``zetazero(1)`` (Z's bound is
+    2.9e-4 at t = 14.1), the other twelve 1e-6 to 2e-5 from theirs.
+    """
     return _bisect(sign_changes(t_lo, t_hi, grid_step), tol)
 
 

@@ -229,3 +229,136 @@ def test_report_serialization_fields():
         "counterexample_candidates",
     }
     assert doc["verified_count"] == 10
+
+
+def _reference_doc(lo, hi, budget, floor=None):
+    # the report verify_range must produce, built start by start from _follow
+    exit_floor = 2 if floor is None else max(2, floor)
+    verified, max_steps, cands = 0, -1, []
+    for n in range(lo, hi + 1):
+        exited, k, last = _follow(n, budget, exit_floor)
+        if exited:
+            verified += 1
+            max_steps = max(max_steps, k)
+        else:
+            cands.append({"n": n, "steps_taken": k, "last_iterate": last})
+    return {
+        "lo": lo,
+        "hi": hi,
+        "verified_count": verified,
+        "max_stopping_time_seen": max(max_steps, 0),
+        "counterexample_candidates": cands,
+    }
+
+
+@pytest.mark.parametrize("lo,hi", [(1, 3000), (700, 3700), (3 * 65536 - 1500, 3 * 65536 + 1500)])
+@pytest.mark.parametrize("budget", [1, 3, 7, 120, 1000])
+def test_descent_sweep_matches_reference(lo, hi, budget):
+    rep = verify_range(lo, hi, budget, chunk_size=256)
+    assert json.loads(rep.to_json()) == _reference_doc(lo, hi, budget)
+
+
+@pytest.mark.parametrize("floor_at", ["lo", "inside", "above"])
+@pytest.mark.parametrize("lo", [1, 5, 100, 5000])
+@pytest.mark.parametrize("budget", [3, 50, 1000])
+def test_descent_sweep_with_floor_matches_reference(floor_at, lo, budget):
+    hi = lo + 2000
+    floor = {"lo": lo, "inside": lo + 777, "above": hi + 1}[floor_at]
+    rep = verify_range(lo, hi, budget, floor, chunk_size=300)
+    assert json.loads(rep.to_json()) == _reference_doc(lo, hi, budget, floor)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 200, 10**5])
+def test_descent_sweep_independent_of_blocks_and_workers(budget):
+    lo, hi = 1, 3 * 65536 + 50
+    ref = verify_range(lo, hi, budget, chunk_size=65536).to_json()
+    assert verify_range(lo, hi, budget, chunk_size=65536, workers=2).to_json() == ref
+    assert verify_range(lo, hi, budget, chunk_size=256, workers=2).to_json() == ref
+    small = verify_range(1, 3000, budget, chunk_size=65536).to_json()
+    assert json.loads(small) == _reference_doc(1, 3000, budget)
+    for chunk_size in (1, 7, 256):
+        for workers in (1, 2):
+            rep = verify_range(1, 3000, budget, chunk_size=chunk_size, workers=workers)
+            assert rep.to_json() == small
+
+
+def test_descent_sweep_workers_share_the_step_arrays():
+    # phase 1 threads write disjoint slices of two shared arrays
+    import sys
+
+    ref = verify_range(1, 30000, 300, chunk_size=97).to_json()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert verify_range(1, 30000, 300, chunk_size=97, workers=8).to_json() == ref
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("budget", [5, 7, 40, 2000])
+def test_descent_sweep_straddling_residue_blocks(budget):
+    lo, hi = 2 * 65536 - 700, 2 * 65536 + 700
+    for chunk_size in (65536, 333):
+        rep = verify_range(lo, hi, budget, chunk_size=chunk_size)
+        assert json.loads(rep.to_json()) == _reference_doc(lo, hi, budget)
+
+
+@pytest.mark.parametrize("budget", [3, 20, 3000])
+def test_descent_sweep_around_residue_jump_bound(budget):
+    # below 2^80 // 3^16 the first 16 steps are taken in closed form in uint64
+    limit = 2**80 // 3**16
+    lo, hi = limit - 150, limit + 150
+    for floor in (None, limit - 10**6, limit + 1):
+        rep = verify_range(lo, hi, budget, floor, chunk_size=128)
+        assert json.loads(rep.to_json()) == _reference_doc(lo, hi, budget, floor)
+    # n = -1 mod 2^16 climbs for 16 steps to 3^16 (n + 1) / 2^16 - 1, the
+    # largest T^16 of any n; the last such start below the bound and the
+    # first above it
+    last = (limit >> 16 << 16) - 1
+    for n in (last, last + 2**16):
+        rep = verify_range(n - 3, n + 3, budget, chunk_size=4)
+        assert json.loads(rep.to_json()) == _reference_doc(n - 3, n + 3, budget)
+
+
+def test_descent_sweep_crossing_the_python_path():
+    # chunks below 2^63 run in uint64 and link to nothing above; the rest run in Python ints
+    lo, hi = 2**63 - 40, 2**63 + 40
+    rep = verify_range(lo, hi, 1500, chunk_size=16)
+    assert json.loads(rep.to_json()) == _reference_doc(lo, hi, 1500)
+
+
+def test_floor_above_uint64_makes_every_start_a_root():
+    rep = verify_range(1, 10, 100, floor=2**70)
+    assert json.loads(rep.to_json()) == _reference_doc(1, 10, 100, 2**70)
+
+
+def test_residue_table_is_the_first_descent():
+    from conjlab.collatz import _residue_table
+
+    first, coef, t_r = _residue_table()
+    rng = np.random.default_rng(13)
+    for r in rng.integers(0, 2**16, size=300).tolist():
+        j = int(first[r])
+        odd = [iterate(r, i) & 1 for i in range(j)]
+        a = sum(odd)
+        assert int(coef[r]) == 3**a * 2 ** (16 - j)
+        assert all(3 ** sum(odd[:i]) > 2**i for i in range(1, j))
+        assert j == 16 or 3**a < 2**j
+        for q in (0, 1, 12345, 2**37 + 5):
+            n = q * 2**16 + r
+            assert int(coef[r]) * q + int(t_r[r]) == iterate(n, j)
+
+
+def test_residue_table_not_built_at_import():
+    import subprocess
+    import sys
+
+    code = "import conjlab, conjlab.collatz as c; print(c._residue_table.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+def test_verify_range_rejects_workers_below_one_first():
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        verify_range(1, 10**9, 10, workers=0)

@@ -151,3 +151,18 @@ def test_pmap_keeps_task_order_and_runs_small_maps_inline():
     assert _pmap(lambda t: threading.get_ident(), tasks, 1) == [here] * 50
     assert _pmap(lambda t: threading.get_ident(), [0], 4) == [here]
     assert _pmap(lambda t: t, [], 4) == []
+
+
+def test_heuristic_walk_without_steps_still_checks_workers():
+    with pytest.raises(ValueError, match="^workers must be at least 1$"):
+        heuristic_walk(WalkConfig(3, 0, 0), workers=0)
+
+
+def test_random_walk_compare_checks_workers_before_sieving(monkeypatch):
+    import conjlab.mobius
+
+    calls = []
+    monkeypatch.setattr(conjlab.mobius, "mertens", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="^workers must be at least 1$"):
+        random_walk_compare(10**7, 1, 0, workers=0)
+    assert calls == []
