@@ -15,127 +15,15 @@ randomness flows through per-task Philox streams keyed by (seed, index),
 so results never depend on worker count or scheduling.
 """
 
-from .collatz import (
-    CandidateRecord,
-    StoppingRecord,
-    Trajectory,
-    VerificationReport,
-    iterate,
-    step,
-    total_stopping_time,
-    trajectory,
-    verify_range,
-)
-from .mobius import (
-    GrowthReport,
-    MertensSeries,
-    MobiusTable,
-    WalkComparison,
-    growth_statistic,
-    mertens,
-    mobius_segments,
-    mobius_sieve,
-    random_walk_compare,
-)
-from .parity import (
-    CONCAT_SLACK_BITS,
-    ESTIMATOR_ID,
-    CompressibilityScore,
-    ParityVector,
-    Realization,
-    bijection_check,
-    description_length_estimate,
-    estimator_overhead,
-    parity_vector,
-    random_fraction,
-    realize,
-)
-from .rng import substream
-from .stochastic import (
-    WalkConfig,
-    WalkSummary,
-    empirical_parity_frequency,
-    expected_step_drift,
-    heuristic_walk,
-)
-from .zeta import (
-    T_MIN,
-    Z_CORRECTION_ORDER,
-    AnalyticCountWarning,
-    RHReport,
-    ThetaValue,
-    ZeroBracket,
-    ZEvaluation,
-    refine_zero,
-    sign_changes,
-    theta,
-    theta_value,
-    verify_rh,
-    z_function,
-    z_values,
-    zero_count_analytic,
-    zeros_in,
-)
+from . import collatz, mobius, parity, rng, stochastic, zeta
+from .collatz import *
+from .mobius import *
+from .parity import *
+from .rng import *
+from .stochastic import *
+from .zeta import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # collatz
-    "step",
-    "iterate",
-    "trajectory",
-    "total_stopping_time",
-    "verify_range",
-    "Trajectory",
-    "StoppingRecord",
-    "CandidateRecord",
-    "VerificationReport",
-    # parity
-    "ParityVector",
-    "Realization",
-    "CompressibilityScore",
-    "ESTIMATOR_ID",
-    "CONCAT_SLACK_BITS",
-    "parity_vector",
-    "realize",
-    "bijection_check",
-    "estimator_overhead",
-    "description_length_estimate",
-    "random_fraction",
-    # stochastic
-    "WalkConfig",
-    "WalkSummary",
-    "expected_step_drift",
-    "heuristic_walk",
-    "empirical_parity_frequency",
-    # mobius
-    "MobiusTable",
-    "MertensSeries",
-    "GrowthReport",
-    "WalkComparison",
-    "mobius_sieve",
-    "mobius_segments",
-    "mertens",
-    "growth_statistic",
-    "random_walk_compare",
-    # zeta
-    "T_MIN",
-    "Z_CORRECTION_ORDER",
-    "AnalyticCountWarning",
-    "ThetaValue",
-    "ZEvaluation",
-    "ZeroBracket",
-    "RHReport",
-    "theta",
-    "theta_value",
-    "z_values",
-    "z_function",
-    "sign_changes",
-    "refine_zero",
-    "zeros_in",
-    "zero_count_analytic",
-    "verify_rh",
-    # shared
-    "substream",
-]
+__all__ = ["__version__", *collatz.__all__, *parity.__all__, *stochastic.__all__,
+           *mobius.__all__, *zeta.__all__, *rng.__all__]

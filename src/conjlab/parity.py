@@ -4,7 +4,9 @@ computable incompressibility proxy.
 The k-bit parity vector of n records the parity of the first k iterates
 n, T(n), ..., T^{k-1}(n).  Extraction is a bijection between residues
 mod 2^k (representatives {1, ..., 2^k}) and {0,1}^k, and ``realize``
-inverts it constructively.
+inverts it constructively.  The map T comes from ``collatz``:
+``parity_vector`` calls its scalar parity loop and ``bijection_check`` its
+array step.
 
 ``description_length_estimate`` is a self-delimiting two-part code length: a
 gamma-coded length header plus the cheaper of a verbatim copy and a
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .collatz import _parities, _t_vec
 from .rng import _pmap, substream
 
 __all__ = [
@@ -101,13 +104,7 @@ def parity_vector(n: int, k: int) -> ParityVector:
         raise ValueError("n must be a positive integer")
     if k < 0:
         raise ValueError("k must be non-negative")
-    bits = []
-    v = n
-    for _ in range(k):
-        b = v & 1
-        bits.append(b)
-        v = (3 * v + 1) >> 1 if b else v >> 1
-    return ParityVector(tuple(bits))
+    return ParityVector(tuple(_parities(n, k, 0)))
 
 
 def realize(x) -> Realization:
@@ -127,6 +124,9 @@ def realize(x) -> Realization:
     c = 0
     v = 0
     pow3 = 1
+    # The lifting keeps its own recurrence rather than collatz's kernels:
+    # v starts at 0, outside T's domain, takes the 3^a_i increment before
+    # each step, and is stepped by the wanted parity, not by its own.
     for i, want in enumerate(xv):
         if (v & 1) != want:
             c += 1 << i
@@ -158,9 +158,8 @@ def bijection_check(k: int) -> bool:
     v = np.arange(1, (1 << k) + 1, dtype=np.int64)
     codes = np.zeros(v.size, dtype=np.int64)
     for i in range(k):
-        b = v & 1
+        b, v = _t_vec(v)
         codes |= b << i
-        v = np.where(b == 1, (3 * v + 1) >> 1, v >> 1)
     codes.sort()
     return bool(np.array_equal(codes, np.arange(1 << k, dtype=np.int64)))
 

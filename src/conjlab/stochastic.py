@@ -11,7 +11,8 @@ which is the heuristic reason orbits should descend.  ``heuristic_walk``
 simulates that model exactly (only the count of up-moves matters for
 every reported statistic, so each trial draws one binomial);
 ``empirical_parity_frequency`` measures how close actual orbit parities
-come to the fair-coin assumption.
+come to the fair-coin assumption, reading them from ``collatz``'s scalar
+parity loop.
 """
 
 import math
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .collatz import _parities
 from .rng import _check_workers, _pmap, substream
 
 __all__ = [
@@ -121,15 +123,10 @@ def empirical_parity_frequency(lo: int, count: int, k: int) -> float:
         raise ValueError("count must be at least 1")
     if k < 1:
         raise ValueError("k must be at least 1")
-    odd = 0
-    total = 0
+    odd = total = 0
     for n in range(lo, lo + count):
-        v = n
-        for i in range(k):
-            if i and v == 1:
-                break
-            b = v & 1
-            odd += b
-            total += 1
-            v = (3 * v + 1) >> 1 if b else v >> 1
+        # start 1 is the only orbit through 1: it counts 1 and T(1) = 2
+        bits = _parities(n, k, 2) if n > 1 else [1, 0][:k]
+        odd += sum(bits)
+        total += len(bits)
     return odd / total

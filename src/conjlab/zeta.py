@@ -46,6 +46,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 __all__ = [
     "T_MIN",
+    "Z_CORRECTION_ORDER",
     "ThetaValue",
     "ZEvaluation",
     "ZeroBracket",
@@ -120,7 +121,8 @@ _PHI_SCALE = 1.2
 _PHI_CHEB = _cheb.Chebyshev(
     _cheb.chebinterpolate(lambda u: _phi_raw(_PHI_SCALE * u), 100)
 )
-_PHI_DERIVS = [_PHI_CHEB.deriv(k) if k else _PHI_CHEB for k in range(7)]
+# Z uses Phi and its derivatives of orders 2, 3 and 6 only.
+_PHI_DERIVS = {k: _PHI_CHEB.deriv(k) if k else _PHI_CHEB for k in (0, 2, 3, 6)}
 
 
 def _phi_deriv(z: np.ndarray, k: int) -> np.ndarray:
@@ -132,11 +134,11 @@ def _check_t(t: float) -> None:
         raise ValueError(f"t must be >= {T_MIN}; the asymptotics used here need it")
 
 
-def theta(t: float) -> float:
-    """Riemann-Siegel phase with corrections through t^-3."""
-    _check_t(t)
+def _theta(t, log):
+    # theta(t) on a float or an array; math.log and np.log may differ in
+    # the last bit, so each caller keeps its own
     return (
-        0.5 * t * math.log(t / _TWO_PI)
+        0.5 * t * log(t / _TWO_PI)
         - 0.5 * t
         - math.pi / 8.0
         + 1.0 / (48.0 * t)
@@ -144,29 +146,25 @@ def theta(t: float) -> float:
     )
 
 
+def theta(t: float) -> float:
+    """Riemann-Siegel phase with corrections through t^-3."""
+    _check_t(t)
+    return _theta(t, math.log)
+
+
 def theta_value(t: float) -> ThetaValue:
     """theta(t) together with a bound on the truncation error."""
     return ThetaValue(t=t, theta=theta(t), error_bound=62.0 / (80640.0 * t**5))
 
 
-def _theta_vec(ts: np.ndarray) -> np.ndarray:
-    return (
-        0.5 * ts * np.log(ts / _TWO_PI)
-        - 0.5 * ts
-        - math.pi / 8.0
-        + 1.0 / (48.0 * ts)
-        + 7.0 / (5760.0 * ts**3)
-    )
-
-
 def z_values(ts) -> np.ndarray:
     """Vectorized Z(t) on an array of abscissae (all >= T_MIN)."""
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-    if ts.size and not float(ts.min()) >= T_MIN:
-        raise ValueError(f"t must be >= {T_MIN}; the asymptotics used here need it")
+    if ts.size:
+        _check_t(float(ts.min()))
     tau = np.sqrt(ts / _TWO_PI)
     m = np.floor(tau).astype(np.int64)
-    th = _theta_vec(ts)
+    th = _theta(ts, np.log)
     acc = np.zeros_like(ts)
     for n in range(1, int(m.max()) + 1 if ts.size else 1):
         mask = m >= n
@@ -258,27 +256,19 @@ def zeros_in(
     return _bisect(sign_changes(t_lo, t_hi, grid_step), tol)
 
 
-def _analytic_count(T: float) -> tuple[int, float, bool]:
-    main = theta(T) / math.pi + 1.0
-    count = int(math.floor(main + 0.5))
-    near_boundary = abs(main - (math.floor(main) + 0.5)) < _HALF_WARN_BAND
-    return count, main, near_boundary
-
-
 def zero_count_analytic(T: float) -> int:
     """Nearest integer to theta(T)/pi + 1, the zero count for T in any
     range where |S(T)| < 1/2.  Warns when the value is close enough to a
     rounding boundary that an S-excursion could shift the count."""
-    _check_t(T)
-    count, main, near = _analytic_count(T)
-    if near:
+    main = theta(T) / math.pi + 1.0
+    if abs(main - (math.floor(main) + 0.5)) < _HALF_WARN_BAND:
         warnings.warn(
             f"theta({T})/pi + 1 = {main:.6f} is within {_HALF_WARN_BAND} of a "
             "half-integer; the rounded count may be off by one",
             AnalyticCountWarning,
             stacklevel=2,
         )
-    return count
+    return int(math.floor(main + 0.5))
 
 
 def verify_rh(

@@ -362,3 +362,27 @@ def test_residue_table_not_built_at_import():
 def test_verify_range_rejects_workers_below_one_first():
     with pytest.raises(ValueError, match="workers must be at least 1"):
         verify_range(1, 10**9, 10, workers=0)
+
+
+def test_iterate_zero_steps_is_identity_on_any_int():
+    # k = 0 applies no step, so the domain check does not fire
+    assert iterate(0, 0) == 0
+    assert iterate(-1, 0) == -1
+    with pytest.raises(ValueError, match="positive integer"):
+        iterate(0, 1)
+    with pytest.raises(ValueError, match="positive integer"):
+        iterate(-1, 3)
+
+
+def test_array_step_matches_step():
+    from conjlab.collatz import _U64_GUARD, _t_vec
+
+    cases = [
+        (np.uint64, [_U64_GUARD, _U64_GUARD - 1, 1, 2]),
+        (np.int64, [(2**63 - 2) // 3, (2**63 - 2) // 3 - 1, 1, 2]),
+    ]
+    for dtype, values in cases:
+        odd, nxt = _t_vec(np.array(values, dtype=dtype))
+        assert odd.dtype == dtype and nxt.dtype == dtype
+        assert odd.tolist() == [v & 1 for v in values]
+        assert nxt.tolist() == [step(v) for v in values]

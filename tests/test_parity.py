@@ -178,3 +178,10 @@ def test_random_fraction_degenerate_threshold():
 def test_random_fraction_validation():
     with pytest.raises(ValueError):
         random_fraction(64, 0, seed=1)
+
+
+def test_parity_vector_matches_reference_exhaustive_and_wide():
+    starts = list(range(1, 301)) + [2**64 - 1, 2**64 + 1, 2**70 + 5, 3**50]
+    for n in starts:
+        for k in (0, 1, 16, 17, 64, 300):
+            assert parity_vector(n, k).bits == _extract_reference(n, k), (n, k)

@@ -166,3 +166,27 @@ def test_random_walk_compare_checks_workers_before_sieving(monkeypatch):
     with pytest.raises(ValueError, match="^workers must be at least 1$"):
         random_walk_compare(10**7, 1, 0, workers=0)
     assert calls == []
+
+
+def _pooled_parity_reference(lo, count, k):
+    # the original loop: a start's parities stop once its orbit hits 1,
+    # the start itself always counting
+    odd = 0
+    total = 0
+    for n in range(lo, lo + count):
+        v = n
+        for i in range(k):
+            if i and v == 1:
+                break
+            b = v & 1
+            odd += b
+            total += 1
+            v = (3 * v + 1) >> 1 if b else v >> 1
+    return odd / total
+
+
+@pytest.mark.parametrize("lo", [1, 2, 3, 2**40 - 5, 2**70 + 1])
+@pytest.mark.parametrize("count", [1, 7, 50])
+def test_empirical_parity_frequency_matches_reference_loop(lo, count):
+    for k in (1, 2, 3, 17, 64):
+        assert empirical_parity_frequency(lo, count, k) == _pooled_parity_reference(lo, count, k)

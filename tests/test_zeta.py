@@ -307,3 +307,37 @@ def test_verify_rh_domain():
         verify_rh(100.0, grid_step=-0.1)
     with pytest.raises(ValueError):
         verify_rh(100.0, max_refinements=-1)
+
+
+def _theta_scalar_reference(t):
+    return (
+        0.5 * t * math.log(t / (2.0 * math.pi))
+        - 0.5 * t
+        - math.pi / 8.0
+        + 1.0 / (48.0 * t)
+        + 7.0 / (5760.0 * t**3)
+    )
+
+
+def _theta_array_reference(ts):
+    return (
+        0.5 * ts * np.log(ts / (2.0 * math.pi))
+        - 0.5 * ts
+        - math.pi / 8.0
+        + 1.0 / (48.0 * ts)
+        + 7.0 / (5760.0 * ts**3)
+    )
+
+
+def test_theta_formula_is_bit_identical_to_both_original_forms():
+    rng = np.random.default_rng(5)
+    ts = np.concatenate([np.linspace(T_MIN, 1e3, 5000), 10.0 ** rng.uniform(1.0, 6.0, 5000)])
+    assert (zeta._theta(ts, np.log) == _theta_array_reference(ts)).all()
+    assert [theta(t) for t in ts.tolist()] == [_theta_scalar_reference(t) for t in ts.tolist()]
+
+
+def test_z_values_domain_check_messages():
+    for bad in ([float("nan")], [20.0, float("nan")], [9.99, 20.0]):
+        with pytest.raises(ValueError, match=r"t must be >= 10\.0"):
+            z_values(bad)
+    assert z_values([]).size == 0
