@@ -13,6 +13,11 @@ gamma-coded length header plus the cheaper of a verbatim copy and a
 greedy Lempel-Ziv phrase parse.  It upper-bounds the shortest
 description this estimator can certify, so small values certify
 structure while large values are merely absence of evidence of it.
+
+The parse finds each phrase exactly: hash chains link every start to
+the previous start with the same 16 bits, and the whole chain is walked,
+never truncated, to take the longest earlier match and, among equally
+long ones, the rightmost.  ``random_fraction`` runs its samples serially.
 """
 
 from collections.abc import Iterable, Sequence
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collatz import _parities, _t_vec
-from .rng import _pmap, substream
+from .rng import _check_workers, substream
 
 __all__ = [
     "ParityVector",
@@ -177,29 +182,49 @@ def estimator_overhead(k: int) -> int:
     return _gamma_len(k + 1) + 1
 
 
-def _match_feasible(bits: np.ndarray) -> np.ndarray:
-    """feasible[j] is True when the 16-gram at j already occurred earlier.
+def _chains(bits: np.ndarray) -> np.ndarray:
+    """prev[j] is the nearest start before j with the same 16-gram, or -1.
 
-    Packs every 16-gram into a uint32 key and takes the first occurrence
-    index of each key; positions whose key appeared strictly before can
-    start a phrase, everything else is a guaranteed literal and skips the
-    substring search entirely.
+    Each 16-gram is packed into a uint16 key by doubling (adjacent 1-gram
+    keys make a 2-gram key, adjacent 2-grams a 4-gram, ...).  A stable
+    argsort of uint16 keys, a radix sort, lists every key's starts in
+    ascending order, so each start's predecessor there is its chain link.
     """
-    k = bits.size
-    m = k - (_MIN_MATCH - 1)
+    m = bits.size - (_MIN_MATCH - 1)
     if m <= 0:
-        return np.zeros(k, dtype=bool)
-    w = np.zeros(m, dtype=np.uint32)
-    for i in range(_MIN_MATCH):
-        w |= bits[i : i + m].astype(np.uint32) << np.uint32(_MIN_MATCH - 1 - i)
-    first = np.full(1 << _MIN_MATCH, m, dtype=np.int64)
-    np.minimum.at(first, w, np.arange(m, dtype=np.int64))
-    out = np.zeros(k, dtype=bool)
-    out[:m] = first[w] < np.arange(m, dtype=np.int64)
-    return out
+        return np.zeros(0, dtype=np.int64)
+    w = bits.astype(np.uint16)
+    s = 1
+    while s < _MIN_MATCH:
+        w = (w[:-s] << np.uint16(s)) | w[s:]
+        s *= 2
+    order = np.argsort(w, kind="stable")
+    keys = w[order]
+    before = np.concatenate(([-1], order[:-1]))
+    before[1:][keys[1:] != keys[:-1]] = -1
+    prev = np.empty(m, dtype=np.int64)
+    prev[order] = before
+    return prev
 
 
-def _lz_cost(raw: bytes, feasible: np.ndarray) -> int:
+def _extend(raw: bytes, j: int, pos: int, lo: int, limit: int) -> int:
+    """Common prefix length of raw[j:] and raw[pos:], capped at ``limit``,
+    given that the first ``lo`` bytes agree: doubling slice compares, then
+    a binary search inside the block that failed."""
+    hi = min(2 * lo, limit)
+    while lo < limit and raw[j + lo : j + hi] == raw[pos + lo : pos + hi]:
+        lo = hi
+        hi = min(2 * hi, limit)
+    while lo < hi - 1:
+        mid = (lo + hi) // 2
+        if raw[j + lo : j + mid] == raw[pos + lo : pos + mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _lz_cost(raw: bytes, prev: np.ndarray) -> int:
     """Greedy phrase-parse cost in bits.
 
     Phrases copy from any earlier start (overlap with the phrase itself
@@ -207,50 +232,47 @@ def _lz_cost(raw: bytes, feasible: np.ndarray) -> int:
     for offset and length, literals cost a flag bit plus the payload bit.
     A phrase is only taken when strictly cheaper than the literals it
     replaces.
+
+    The search is exact: at each start with an earlier copy of its 16-gram,
+    the whole hash chain ``prev`` is walked from right to left, with no
+    truncation, and the phrase is the longest earlier match, capped at the
+    end of the input; among equally long matches the rightmost (nearest)
+    one wins, since only a strictly longer match replaces the best so far.
+    Every other position is a literal.
     """
     k = len(raw)
+    # byte 1 at each start whose 16-gram occurred before; find() skips literals
+    linked = (prev >= 0).tobytes()
+    chain = memoryview(prev)  # Python ints on indexing, without a tolist() copy
     cost = 0
     pos = 0
-    while pos < k:
+    while (q := linked.find(1, pos)) >= 0:
+        cost += 2 * (q - pos)
+        pos = q
         limit = k - pos
-        if limit < _MIN_MATCH or not feasible[pos]:
-            cost += 2
-            pos += 1
-            continue
-
-        def ok(length: int) -> bool:
-            # any occurrence starting strictly before pos, overlap allowed
-            return raw.rfind(raw[pos : pos + length], 0, pos + length - 1) != -1
-
-        lo = _MIN_MATCH
-        hi = min(2 * lo, limit)
-        while hi < limit and ok(hi):
-            lo = hi
-            hi = min(2 * hi, limit)
-        if ok(hi):
-            lo = hi
-        while lo < hi - 1:
-            mid = (lo + hi) // 2
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        # lo is now the longest feasible phrase length
-        j = raw.rfind(raw[pos : pos + lo], 0, pos + lo - 1)
-        phrase_cost = 1 + _gamma_len(pos - j) + _gamma_len(lo)
-        if phrase_cost < 2 * lo:
+        best, best_j = 0, -1
+        j = chain[pos]
+        while j >= 0:
+            # only a match longer than best can replace it
+            if raw[j + _MIN_MATCH : j + best + 1] == raw[pos + _MIN_MATCH : pos + best + 1]:
+                best = _extend(raw, j, pos, max(best + 1, _MIN_MATCH), limit)
+                best_j = j
+                if best == limit:
+                    break
+            j = chain[j]
+        phrase_cost = 1 + _gamma_len(pos - best_j) + _gamma_len(best)
+        if phrase_cost < 2 * best:
             cost += phrase_cost
-            pos += lo
+            pos += best
         else:
             cost += 2
             pos += 1
-    return cost
+    return cost + 2 * (k - pos)
 
 
 def _estimate_bits(bits_u8: np.ndarray) -> int:
     k = int(bits_u8.size)
-    raw = bits_u8.tobytes()
-    body = min(k, _lz_cost(raw, _match_feasible(bits_u8)))
+    body = min(k, _lz_cost(bits_u8.tobytes(), _chains(bits_u8)))
     return estimator_overhead(k) + body
 
 
@@ -273,8 +295,7 @@ def description_length_estimate(x) -> CompressibilityScore:
     )
 
 
-def _sample_deficient(args) -> bool:
-    k, seed, index, threshold = args
+def _sample_deficient(k: int, seed: int, index: int, threshold: int) -> bool:
     bits = substream(seed, index).integers(0, 2, size=k, dtype=np.uint8)
     return k - _estimate_bits(bits) < threshold
 
@@ -292,12 +313,15 @@ def random_fraction(
     tightest bound it can certify on nothing).
 
     Sample i always draws from stream (seed, i), so the fraction is
-    reproducible for a fixed seed at any worker count.
+    reproducible for a fixed seed.  ``workers`` is accepted and checked,
+    but not used: the samples run serially, because each is a short
+    Python loop that holds the interpreter lock, and threads made the
+    whole run slower, not faster.
     """
+    _check_workers(workers)
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if threshold is None:
         threshold = estimator_overhead(k)
-    tasks = [(k, seed, i, threshold) for i in range(samples)]
-    hits = sum(_pmap(_sample_deficient, tasks, workers))
+    hits = sum(_sample_deficient(k, seed, i, threshold) for i in range(samples))
     return hits / samples

@@ -1,6 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
+from lz_reference import lz_cost_reference
 
+from conjlab import parity
 from conjlab.parity import (
     CONCAT_SLACK_BITS,
     CompressibilityScore,
@@ -185,3 +189,86 @@ def test_parity_vector_matches_reference_exhaustive_and_wide():
     for n in starts:
         for k in (0, 1, 16, 17, 64, 300):
             assert parity_vector(n, k).bits == _extract_reference(n, k), (n, k)
+
+
+def _lz_cost(bits) -> int:
+    b = np.asarray(bits, dtype=np.uint8)
+    return parity._lz_cost(b.tobytes(), parity._chains(b))
+
+
+def _rand(seed: int, k: int) -> np.ndarray:
+    return substream(seed, 0).integers(0, 2, size=k, dtype=np.uint8)
+
+
+def _noisy_periodic() -> np.ndarray:
+    g = substream(8, 0)
+    x = np.tile(g.integers(0, 2, size=97, dtype=np.uint8), 1400)
+    return x ^ (g.random(x.size) < 0.01).astype(np.uint8)
+
+
+def _tie() -> np.ndarray:
+    # A B A C A D: at the third A both earlier copies match exactly |A| bits
+    # (B and C open with the same bit, D with the other), and the rightmost
+    # copy has a shorter gamma-coded offset (32 against 156).
+    a, b, c, d = (_rand(s, n) for s, n in ((31, 24), (32, 100), (33, 8), (34, 30)))
+    b[0] = c[0] = 1 - d[0]
+    return np.concatenate([a, b, a, c, a, d])
+
+
+_STRUCTURED = {
+    "alternating-4000": [0, 1] * 2000,
+    "alternating-megabit": [0, 1] * 500_000,
+    "tiled-random-block": np.tile(_rand(7, 300), 40),
+    "noisy-periodic": _noisy_periodic(),
+    "all-zeros": [0] * 4096,
+    "ones-15": [1] * 15,
+    "ones-16": [1] * 16,
+    "ones-17": [1] * 17,
+    "orbit-27-300": parity_vector(27, 300).bits,
+    "orbit-27-4096": parity_vector(27, 4096).bits,
+    "orbit-2^70+5-2000": parity_vector(2**70 + 5, 2000).bits,
+    "orbit-3^50-5000": parity_vector(3**50, 5000).bits,
+    # the phrase at 40 reaches the end of the input exactly
+    "match-ends-at-limit": np.tile(_rand(35, 40), 2),
+    "match-ends-at-limit-overlapping": np.tile(_rand(36, 40), 3)[:100],
+    "tail-phrase-at-limit": np.concatenate([_rand(37, 40), _rand(38, 50), _rand(37, 40)[:20]]),
+    "equal-matches-rightmost-wins": _tie(),
+}
+
+
+@pytest.mark.parametrize("name", list(_STRUCTURED))
+def test_lz_cost_matches_frozen_reference_structured(name):
+    x = _STRUCTURED[name]
+    assert _lz_cost(x) == lz_cost_reference(x)
+
+
+def test_lz_cost_matches_frozen_reference_random():
+    for i in range(200):
+        x = substream(501, i).integers(0, 2, size=4096, dtype=np.uint8)
+        assert _lz_cost(x) == lz_cost_reference(x), i
+
+
+@pytest.mark.parametrize("k", [0, 1, 15, 16, 17, 31, 32, 33])
+def test_lz_cost_matches_frozen_reference_short(k):
+    cases = [[0] * k, [1] * k, [0, 1] * (k // 2) + [0] * (k % 2), [1, 1, 0] * (k // 3)]
+    cases += [_rand(100 + s, k) for s in range(20)]
+    for x in cases:
+        assert _lz_cost(x) == lz_cost_reference(x), x
+
+
+def test_estimates_of_structured_orbits_are_pinned():
+    assert description_length_estimate(parity_vector(27, 300)).estimate == 179
+    assert description_length_estimate(parity_vector(2**70 + 5, 2000)).estimate == 703
+
+
+def test_random_fraction_runs_serially_at_any_worker_count(monkeypatch):
+    seen = []
+    sample = parity._sample_deficient
+
+    def spy(*args):
+        seen.append(threading.get_ident())
+        return sample(*args)
+
+    monkeypatch.setattr(parity, "_sample_deficient", spy)
+    assert random_fraction(64, 8, seed=2, workers=2) == random_fraction(64, 8, seed=2)
+    assert seen == [threading.get_ident()] * 16
