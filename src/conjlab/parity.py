@@ -74,10 +74,8 @@ class ParityVector:
     def coerce(cls, x) -> "ParityVector":
         if isinstance(x, cls):
             return x
-        if isinstance(x, str):
-            return cls(tuple(int(c) for c in x))
-        if isinstance(x, Iterable):
-            return cls(tuple(int(b) for b in x))
+        if isinstance(x, Iterable):  # a str of digits included
+            return cls(tuple(map(int, x)))
         raise TypeError(f"cannot interpret {type(x).__name__} as a parity vector")
 
     def to_bitstring(self) -> str:

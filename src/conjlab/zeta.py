@@ -105,15 +105,9 @@ class RHReport:
 
 
 def _phi_raw(z: np.ndarray) -> np.ndarray:
-    num = np.cos(np.pi * z * z / 2.0 + 3.0 * np.pi / 8.0)
-    den = np.cos(np.pi * z)
-    # l'Hopital at the removable singularities z = +-1/2
-    small = np.abs(den) < 1e-8
-    lim_num = np.sin(np.pi * z * z / 2.0 + 3.0 * np.pi / 8.0) * z
-    lim_den = np.sin(np.pi * z)
-    safe_den = np.where(small, 1.0, den)
-    safe_lim = np.where(small, lim_den, 1.0)
-    return np.where(small, lim_num / safe_lim, num / safe_den)
+    # sampled only at the Chebyshev nodes, where |cos(pi z)| >= 0.0195, so
+    # the removable singularities at z = +-1/2 are never hit
+    return np.cos(np.pi * z * z / 2.0 + 3.0 * np.pi / 8.0) / np.cos(np.pi * z)
 
 
 # Interpolate Phi(1.2 u) on u in [-1, 1]; z stays well inside the domain.
@@ -132,6 +126,8 @@ def _phi_deriv(z: np.ndarray, k: int) -> np.ndarray:
 def _check_t(t: float) -> None:
     if not t >= T_MIN:
         raise ValueError(f"t must be >= {T_MIN}; the asymptotics used here need it")
+    if t == math.inf:
+        raise ValueError("t must be finite")
 
 
 def _theta(t, log):
@@ -162,6 +158,7 @@ def z_values(ts) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
     if ts.size:
         _check_t(float(ts.min()))
+        _check_t(float(ts.max()))
     tau = np.sqrt(ts / _TWO_PI)
     m = np.floor(tau).astype(np.int64)
     th = _theta(ts, np.log)
@@ -200,6 +197,7 @@ def sign_changes(t_lo: float, t_hi: float, grid_step: float) -> list[ZeroBracket
     _check_t(t_lo)
     if not t_hi > t_lo:
         raise ValueError("t_hi must exceed t_lo")
+    _check_t(t_hi)
     if not grid_step > 0.0:
         raise ValueError("grid_step must be positive")
     n = int(math.floor((t_hi - t_lo) / grid_step + 1e-9))

@@ -762,3 +762,22 @@ def test_mertens_sieves_only_as_far_as_printed(argv, sieved, monkeypatch, capsys
     assert cli.main(argv) == 0
     assert limits == [sieved]
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "theta", "--t", "inf"],
+        ["zeta", "z", "--t", "inf"],
+        ["zeta", "scan", "--lo", "20", "--hi", "inf"],
+        ["zeta", "refine", "--lo", "20", "--hi", "inf"],
+        ["zeta", "count", "--at", "inf"],
+        ["zeta", "verify", "--T", "inf"],
+    ],
+    ids=lambda a: a[1],
+)
+def test_infinite_t_exits_2(argv, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "must be finite" in err

@@ -272,3 +272,19 @@ def test_random_fraction_runs_serially_at_any_worker_count(monkeypatch):
     monkeypatch.setattr(parity, "_sample_deficient", spy)
     assert random_fraction(64, 8, seed=2, workers=2) == random_fraction(64, 8, seed=2)
     assert seen == [threading.get_ident()] * 16
+
+
+def test_coerce_str_list_and_tuple_agree():
+    bits = (1, 0, 1, 1, 0)
+    for x in ("10110", [1, 0, 1, 1, 0], bits, ParityVector(bits)):
+        assert ParityVector.coerce(x).bits == bits
+    assert ParityVector.coerce("").bits == ()
+
+
+def test_coerce_errors():
+    with pytest.raises(ValueError, match="^parity bits must be 0 or 1$"):
+        ParityVector.coerce("012")
+    with pytest.raises(ValueError):
+        ParityVector.coerce("01a")
+    with pytest.raises(TypeError, match="^cannot interpret int as a parity vector$"):
+        ParityVector.coerce(5)

@@ -3,6 +3,7 @@ import threading
 
 import pytest
 
+import conjlab.stochastic as stochastic
 from conjlab.mobius import random_walk_compare
 from conjlab.parity import random_fraction
 from conjlab.rng import _pmap, substream
@@ -190,3 +191,28 @@ def _pooled_parity_reference(lo, count, k):
 def test_empirical_parity_frequency_matches_reference_loop(lo, count):
     for k in (1, 2, 3, 17, 64):
         assert empirical_parity_frequency(lo, count, k) == _pooled_parity_reference(lo, count, k)
+
+
+def test_heuristic_walk_runs_every_trial_on_the_calling_thread(monkeypatch):
+    seen = []
+    draw = stochastic.substream
+
+    def spy(seed, index):
+        seen.append(threading.get_ident())
+        return draw(seed, index)
+
+    monkeypatch.setattr(stochastic, "substream", spy)
+    config = WalkConfig(trials=40, steps=100, seed=6)
+    assert heuristic_walk(config, workers=2) == heuristic_walk(config)
+    assert seen == [threading.get_ident()] * 80
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_random_walk_compare_pinned(workers):
+    c = random_walk_compare(10**5, 8, seed=4, workers=workers)
+    assert c.walk_length == 60794
+    assert c.mertens_statistic == 0.8944271909999159
+    assert c.walk_mean_statistic == 2.450732075295799
+    assert c.percentile_rank == 0.0
+    assert c.mean_final_position == 87.75
+    assert c.final_position_sem == 73.84678878790677

@@ -341,3 +341,24 @@ def test_z_values_domain_check_messages():
         with pytest.raises(ValueError, match=r"t must be >= 10\.0"):
             z_values(bad)
     assert z_values([]).size == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: theta(math.inf),
+        lambda: theta_value(math.inf),
+        lambda: z_function(math.inf),
+        lambda: z_values([20.0, math.inf]),
+        lambda: sign_changes(20.0, math.inf, 0.05),
+        lambda: zeros_in(20.0, math.inf),
+        lambda: zero_count_analytic(math.inf),
+        lambda: verify_rh(math.inf),
+    ],
+    ids=["theta", "theta_value", "z_function", "z_values", "sign_changes",
+         "zeros_in", "zero_count_analytic", "verify_rh"],
+)
+def test_infinite_t_rejected(call):
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
+
