@@ -32,9 +32,9 @@ path bit for bit.
 This module is the package's only home of the map, spelled in five
 places, one per output shape: ``step`` (one application; ``trajectory``
 calls it), ``_follow_py`` (steps to a floor, counted only; ``iterate``
-and the Python-int tail of the sweep), ``total_stopping_time`` (steps
-to 1 with the running maximum), ``_parities`` (the parity bits of up to
-k iterates, for ``parity`` and ``stochastic``) and ``_t_vec`` (one step
+and the end of ``_descend``), ``total_stopping_time`` (steps to 1 with
+the running maximum), ``_parities`` (the parity bits of up to k
+iterates, for ``parity`` and ``stochastic``) and ``_t_vec`` (one step
 over an integer array, for the sweep, the residue table and
 ``parity.bijection_check``).  The three scalar loops stay apart because
 each extra duty slows the others' hot paths (2-vCPU Xeon, Python 3.11,
@@ -223,28 +223,6 @@ def _t_vec(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return odd, (v + odd * (v + v + one)) >> one
 
 
-def _descend_py(
-    v: int, k: int, thr: int, lo: int, budget: int, exit_floor: int
-) -> tuple[int | None, int, int]:
-    """Continue a start from iterate ``v`` after ``k`` steps, in Python ints.
-
-    ``thr`` is the start itself, or ``exit_floor`` once the orbit has
-    dropped below the sweep.  Returns (steps, link, last) as ``_descend``
-    records them, with steps None when the budget runs out first; ``last``
-    is then the iterate after ``budget`` steps.  Only the first fall below
-    the start is tested for a link; below ``lo`` the orbit is followed to
-    the floor.
-    """
-    below, used, v = _follow_py(v, budget - k, thr)
-    k += used
-    if below and v >= exit_floor and v < lo:
-        below, used, v = _follow_py(v, budget - k, exit_floor)
-        k += used
-    if not below:
-        return None, -1, v
-    return k, (-1 if v < exit_floor else v - lo), v
-
-
 @functools.cache
 def _residue_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form first descent of every residue r mod 2^16.
@@ -284,94 +262,87 @@ def _cap(budget: int) -> int:
 
 
 def _descend(
-    a: int, offs: np.ndarray, lo: int, budget: int, exit_floor: int, steps, link
-) -> dict[int, int]:
+    a: int, offs: np.ndarray, lo: int, budget: int, exit_floor: int
+) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
     """Phase 1: follow each start a + offs[i] to a root, a link or the budget.
 
     A root is an iterate below ``exit_floor``.  A link is the first iterate
     v below the start n when it lies in [lo, n); an orbit that first falls
-    below n under ``lo`` is followed on to a root.  Writes the steps taken
-    to ``steps[i]`` and v - lo to ``link[i]`` (-1 for a root).  A start
-    that exhausts the budget first gets ``steps[i] = _cap(budget)``, link
-    -1, and its iterate after ``budget`` steps in the returned dict, keyed
-    by i.  ``offs`` is ascending.  Below ``_JUMP_LIMIT`` the first up-to-16
-    steps are one residue-table lookup; iterates that could overflow
-    uint64, and the last few starts of a block, continue in Python ints.
+    below n under ``lo`` is followed on to a root.  Returns (steps, link,
+    last): int64 arrays over ``offs`` of the steps taken and v - lo (-1 for
+    a root), and a dict keyed by i.  A start that exhausts the budget first
+    gets ``steps[i] = _cap(budget)``, link -1, and its iterate after
+    ``budget`` steps in ``last[i]``.  ``offs`` is ascending.  Below
+    ``_JUMP_LIMIT`` the first up-to-16 steps are one residue-table lookup.
+    Blocks that reach 2^63, iterates that could overflow uint64, and the
+    last few starts of a block continue in Python ints.
     """
-    cap = _cap(budget)
+    steps = np.full(offs.size, _cap(budget), dtype=np.int64)
+    link = np.full(offs.size, -1, dtype=np.int64)
     last: dict[int, int] = {}
     tail: list[tuple[int, int, int, int]] = []  # (i, iterate, steps, threshold)
+    n = offs.astype(np.uint64) + np.uint64(min(a, _U64_MAX_START))
+    pos = np.arange(n.size)
     if a + int(offs[-1]) >= _U64_MAX_START:
         tail = [(i, a + o, 0, max(a + o, exit_floor)) for i, o in enumerate(offs.tolist())]
-    else:
-        n = offs.astype(np.uint64) + np.uint64(a)
-        # floors and link bounds above the uint64 range act as if infinite
-        ef = np.uint64(min(exit_floor, _U64_MAX_START))
-        lo_u = np.uint64(min(lo, _U64_MAX_START))
-        thr = np.maximum(n, ef)
-        v = n
-        k0 = np.zeros(n.size, dtype=np.int64)
-        if a < _JUMP_LIMIT:
-            first, coef, t_r = _residue_table()
-            r = n & np.uint64(_JUMP_MASK)
-            j = first[r]
-            jump = (n >= ef) & (n < np.uint64(_JUMP_LIMIT))
-            if budget < _JUMP_BITS:
-                jump &= j <= budget
-            v = np.where(jump, coef[r] * (n >> np.uint64(_JUMP_BITS)) + t_r[r], n)
-            k0 = np.where(jump, j, 0)
-        state = [v, thr, k0, np.arange(n.size, dtype=np.int64)]
-        guard = np.uint64(_U64_GUARD)
-        k0_max = int(k0.max())
-        k = 0
-        while True:
-            v, thr, k0, pos = state
-            done = v < thr
-            if done.any():
-                d = np.flatnonzero(done)
-                vd = v[d]
-                root = vd < ef
-                fin = root | (vd >= lo_u)
-                f = d[fin]
-                pf = pos[f]
-                steps[pf] = k0[f] + k
-                link[pf] = np.where(root[fin], -1, (vd[fin] - lo_u).astype(np.int64))
-                # fell below the sweep: follow the orbit down to the floor
-                thr[d[~fin]] = ef
-                keep = np.ones(v.size, dtype=bool)
-                keep[f] = False
-                state = [x[keep] for x in state]
-                v, thr, k0, pos = state
-            if k + k0_max >= budget:
-                out = k0 + k >= budget
-                po = pos[out]
-                steps[po] = cap
-                link[po] = -1
-                last.update(zip(po.tolist(), v[out].tolist()))
-                state = [x[~out] for x in state]
-                v, thr, k0, pos = state
-            # near overflow, or too few left for numpy to pay: Python ints
-            move = v > guard if v.size > _PY_TAIL else np.ones(v.size, dtype=bool)
-            if move.any():
-                tail.extend(
-                    zip(pos[move].tolist(), v[move].tolist(), (k0[move] + k).tolist(),
-                        thr[move].tolist())
-                )
-                state = [x[~move] for x in state]
-                v = state[0]
-            if v.size == 0:
-                break
-            state[0] = _t_vec(v)[1]
-            k += 1
+        n, pos = n[:0], pos[:0]
+    # floors and link bounds above the uint64 range act as if infinite
+    ef = np.uint64(min(exit_floor, _U64_MAX_START))
+    lo_u = np.uint64(min(lo, _U64_MAX_START))
+    thr = np.maximum(n, ef)
+    v, k0 = n, np.zeros(n.size, dtype=np.int64)
+    if a < _JUMP_LIMIT:
+        first, coef, t_r = _residue_table()
+        r = n & np.uint64(_JUMP_MASK)
+        j = first[r]
+        jump = (n >= ef) & (n < np.uint64(_JUMP_LIMIT)) & (j <= budget)
+        v = np.where(jump, coef[r] * (n >> np.uint64(_JUMP_BITS)) + t_r[r], n)
+        k0 = np.where(jump, j, 0)
+    guard = np.uint64(_U64_GUARD)
+    k0_max = int(k0.max(initial=0))
+    k = 0
+    while v.size:
+        leave = v < thr
+        if leave.any():
+            d = np.flatnonzero(leave)
+            vd = v[d]
+            root = vd < ef
+            fin = root | (vd >= lo_u)
+            # fell below the sweep: follow the orbit down to the floor
+            thr[d[~fin]] = ef
+            leave[d] = fin
+            f = d[fin]
+            steps[pos[f]] = k0[f] + k
+            link[pos[f]] = np.where(root[fin], -1, (vd[fin] - lo_u).astype(np.int64))
+        if k + k0_max >= budget:
+            # steps and link keep their fill, _cap(budget) and -1
+            out = (k0 + k >= budget) & ~leave
+            last.update(zip(pos[out].tolist(), v[out].tolist()))
+            leave |= out
+        if leave.any():
+            keep = ~leave
+            v, thr, k0, pos = v[keep], thr[keep], k0[keep], pos[keep]
+        # near overflow, or too few left for numpy to pay: Python ints
+        move = v > guard if v.size > _PY_TAIL else np.ones(v.size, dtype=bool)
+        if move.any():
+            tail += zip(pos[move].tolist(), v[move].tolist(),
+                        (k0[move] + k).tolist(), thr[move].tolist())
+            keep = ~move
+            v, thr, k0, pos = v[keep], thr[keep], k0[keep], pos[keep]
+        v = _t_vec(v)[1]
+        k += 1
 
-    for i, val, kk, t in tail:
-        s, ln, val = _descend_py(val, kk, t, lo, budget, exit_floor)
-        if s is None:
-            steps[i], link[i] = cap, -1
-            last[i] = val
+    for i, x, s, t in tail:
+        below, used, x = _follow_py(x, budget - s, t)
+        s += used
+        if below and exit_floor <= x < lo:
+            below, used, x = _follow_py(x, budget - s, exit_floor)
+            s += used
+        if below:
+            steps[i], link[i] = s, (-1 if x < exit_floor else x - lo)
         else:
-            steps[i], link[i] = s, ln
-    return last
+            last[i] = x
+    return steps, link, last
 
 
 def _resolve_chunk(
@@ -408,8 +379,7 @@ def _resolve_chunk(
     cands = []
     if over.size:
         # no start of this chunk can link at or above b + 1
-        out = np.empty(over.size, dtype=np.int64)
-        last = _descend(a, over, b + 1, budget, exit_floor, out, out.copy())
+        last = _descend(a, over, b + 1, budget, exit_floor)[2]
         cands = [
             CandidateRecord(n=a + o, steps_taken=budget, last_iterate=last[i])
             for i, o in enumerate(over.tolist())
@@ -480,7 +450,7 @@ def verify_range(
     def phase1(ab: tuple[int, int]) -> None:
         a, b = ab
         s = slice(a - lo, b - lo + 1)
-        _descend(a, np.arange(b - a + 1), lo, budget, exit_floor, steps[s], link[s])
+        steps[s], link[s], _ = _descend(a, np.arange(b - a + 1), lo, budget, exit_floor)
 
     _pmap(phase1, chunks, workers)
 

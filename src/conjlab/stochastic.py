@@ -41,7 +41,6 @@ class WalkConfig:
     steps: int
     seed: int
     p_odd: float = 0.5
-    start_log: float = 0.0
 
 
 @dataclass(frozen=True)

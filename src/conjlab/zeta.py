@@ -29,7 +29,11 @@ multiprecision evaluator before being frozen here.
 The reported accuracy 0.03 t^(-7/4) is an empirical desk-scale
 calibration with a 2x margin over the worst case observed on
 10 <= t <= 5000 (2.2e-4 near t = 10.7); it is not a proven bound.  The
-t^(-7/4) shape matches the first omitted correction order.
+t^(-7/4) shape matches the first omitted correction order.  Higher up,
+float64 rounding in t log n overtakes it: against mpmath's siegelz the
+worst error/bound ratio was 0.36 on [2e4, 3e4], 0.90 on [3e4, 4e4] and
+above 1 from 4e4 on (11 on [1e5, 2e5]).  So Z is evaluated only for
+t <= 3e4 and larger t is rejected; theta accepts any finite t.
 
 zero_count_analytic rounds theta(T)/pi + 1 to the nearest integer, which
 equals the true zero count N(T) whenever |S(T)| < 1/2.  S(T) does dip
@@ -67,6 +71,7 @@ T_MIN = 10.0
 Z_CORRECTION_ORDER = 2
 _TWO_PI = 2.0 * math.pi
 _Z_ERR_COEFF = 0.03
+_Z_T_MAX = 3e4  # _Z_ERR_COEFF is checked against mpmath up to here
 _HALF_WARN_BAND = 0.3
 
 
@@ -130,6 +135,12 @@ def _check_t(t: float) -> None:
         raise ValueError("t must be finite")
 
 
+def _check_z_t(t: float) -> None:
+    _check_t(t)
+    if t > _Z_T_MAX:
+        raise ValueError(f"t must be <= {_Z_T_MAX:g}; Z's error bound is calibrated only that far")
+
+
 def _theta(t, log):
     # theta(t) on a float or an array; math.log and np.log may differ in
     # the last bit, so each caller keeps its own
@@ -154,11 +165,11 @@ def theta_value(t: float) -> ThetaValue:
 
 
 def z_values(ts) -> np.ndarray:
-    """Vectorized Z(t) on an array of abscissae (all >= T_MIN)."""
+    """Vectorized Z(t) on an array of abscissae, all in [T_MIN, 3e4]."""
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
     if ts.size:
         _check_t(float(ts.min()))
-        _check_t(float(ts.max()))
+        _check_z_t(float(ts.max()))
     tau = np.sqrt(ts / _TWO_PI)
     m = np.floor(tau).astype(np.int64)
     th = _theta(ts, np.log)
@@ -197,7 +208,7 @@ def sign_changes(t_lo: float, t_hi: float, grid_step: float) -> list[ZeroBracket
     _check_t(t_lo)
     if not t_hi > t_lo:
         raise ValueError("t_hi must exceed t_lo")
-    _check_t(t_hi)
+    _check_z_t(t_hi)
     if not grid_step > 0.0:
         raise ValueError("grid_step must be positive")
     n = int(math.floor((t_hi - t_lo) / grid_step + 1e-9))
@@ -278,10 +289,11 @@ def verify_rh(
     The scan starts at 10, below the lowest zero (near 14.13), so nothing
     is missed on (0, 10).  If the scan undercounts, the grid is halved up
     to ``max_refinements`` times; ``verified`` records exact agreement at
-    the final grid.
+    the final grid.  T above Z's cap of 3e4 is rejected before any count.
     """
     if not T >= 14.0:
         raise ValueError("T must be >= 14 (below the first zero the report is vacuous)")
+    _check_z_t(T)
     if not grid_step > 0.0:
         raise ValueError("grid_step must be positive")
     if max_refinements < 0:

@@ -781,3 +781,37 @@ def test_infinite_t_exits_2(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "must be finite" in err
+
+
+def test_import_loads_neither_numpy_random_nor_threads():
+    code = (
+        "import sys, conjlab.cli; "
+        "print(sorted({'numpy.random', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
+
+
+def test_z_above_its_calibrated_range_exits_2_quietly():
+    r = run("zeta", "z", "--t", "1e300")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: t must be <= 30000;")
+    assert r.stderr.count("\n") == 1 and "Warning" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "scan", "--lo", "20", "--hi", "4e4"],
+        ["zeta", "refine", "--lo", "20", "--hi", "4e4"],
+        ["zeta", "verify", "--T", "4e4"],
+    ],
+    ids=lambda a: a[1],
+)
+def test_z_above_its_calibrated_range_exits_2(argv, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: t must be <= 30000;") and err.count("\n") == 1

@@ -362,3 +362,25 @@ def test_infinite_t_rejected(call):
     with pytest.raises(ValueError, match="must be finite"):
         call()
 
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: z_function(30000.5),
+        lambda: z_values([20.0, 1e300]),
+        lambda: sign_changes(20.0, 4e4, 1.0),
+        lambda: zeros_in(20.0, 4e4),
+        lambda: refine_zero(ZeroBracket(3e4, 3.1e4)),
+        lambda: verify_rh(4e4),
+    ],
+    ids=["z_function", "z_values", "sign_changes", "zeros_in", "refine_zero", "verify_rh"],
+)
+def test_z_above_its_calibrated_range_rejected(call):
+    with pytest.raises(ValueError, match=r"t must be <= 30000;"):
+        call()
+
+
+def test_z_at_the_cap_and_theta_above_it_still_evaluate():
+    ze = z_function(3e4)
+    assert ze.terms == 69 and math.isfinite(ze.z)
+    assert theta_value(1e6).error_bound > 0
