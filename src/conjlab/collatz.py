@@ -17,11 +17,12 @@ The sweep never re-walks an orbit it has already finished.  Each start
 n is followed only until it reaches the floor, or descends onto a
 smaller start of the same sweep (a descent link); the first up-to-16
 steps of most starts come in closed form from a table over the residues
-mod 2^16, and about 97% of those residues descend within them.  The
-starts are then resolved in ascending order: a start's total is its own
-steps plus the total of the start it links to, so every reported count
-is still the exact total stopping time (steps to the floor, when one is
-given), and no start ever links to one that is not yet resolved.
+mod 2^16, and about 97% of those residues descend within them.  Each
+block of starts is resolved, in ascending order, once its descent ends:
+a start's total is its own steps plus the total of the start it links
+to, so every reported count is still the exact total stopping time
+(steps to the floor, when one is given), and no start ever links to one
+that is not yet resolved.  Only the totals span the whole range.
 
 The sweep is exact integer arithmetic throughout.  Starts that fit in
 64 bits are advanced in vectorized numpy blocks; any iterate that could
@@ -346,24 +347,23 @@ def _descend(
 
 
 def _resolve_chunk(
-    a: int, b: int, lo: int, budget: int, exit_floor: int, steps, link
+    a: int, lo: int, budget: int, exit_floor: int, total, tgt, totals
 ) -> tuple[int, int, list[CandidateRecord]]:
-    """Phase 2: turn the steps of starts a..b into total stopping times.
+    """Phase 2: turn the chunk's steps from a on into total stopping times.
 
-    Every start before a must be resolved already.  A start's total is
-    its own steps plus its link target's total; a total over the budget
-    makes the start a candidate, whose last iterate is recomputed with
-    links switched off.  Returns (verified_count,
-    max_steps_among_verified, candidates).
+    ``total`` and ``tgt`` are the chunk's steps and links from
+    ``_descend``; ``total`` is summed in place and copied into ``totals``,
+    which indexes every start from lo and must hold each start before a
+    already.  A start's total is its own steps plus its link target's
+    total; a total over the budget makes the start a candidate, whose
+    last iterate is recomputed with links switched off.  Returns
+    (verified_count, max_steps_among_verified, candidates).
     """
     cap = _cap(budget)
-    s = slice(a - lo, b - lo + 1)
-    total = steps[s].astype(np.int64)
-    tgt = link[s].astype(np.int64)
     # links into this chunk wait until their target is resolved
     waiting = tgt >= a - lo
     earlier = np.flatnonzero(~waiting & (tgt >= 0))
-    total[earlier] += steps[tgt[earlier]]
+    total[earlier] += totals[tgt[earlier]]
     np.minimum(total, cap, out=total)
     pending = np.flatnonzero(waiting)
     while pending.size:
@@ -373,13 +373,13 @@ def _resolve_chunk(
         total[idx] = np.minimum(total[idx] + total[t[ready]], cap)
         waiting[idx] = False
         pending = pending[~ready]
-    steps[s] = total
+    totals[a - lo : a - lo + total.size] = total
 
     over = np.flatnonzero(total == cap)
     cands = []
     if over.size:
-        # no start of this chunk can link at or above b + 1
-        last = _descend(a, over, b + 1, budget, exit_floor)[2]
+        # no start of this chunk can link at or above its end
+        last = _descend(a, over, a + total.size, budget, exit_floor)[2]
         cands = [
             CandidateRecord(n=a + o, steps_taken=budget, last_iterate=last[i])
             for i, o in enumerate(over.tolist())
@@ -413,16 +413,18 @@ def verify_range(
     every reported step count is still the exact number of steps to the
     floor: the total stopping time when there is no floor.  A start whose
     total exceeds the budget is a candidate, and its last iterate is
-    recomputed from the start.  Phase 1 holds two integer arrays over the
-    whole range, 8 bytes per start (16 for very wide ranges or budgets).
+    recomputed from the start.
 
     The range is cut into fixed ``chunk_size`` blocks whose boundaries do
-    not depend on ``workers``; phase 1 maps the blocks over ``workers``
-    threads and phase 2 merges them in range order, so the report content
-    is identical for any worker count.  Only phase 1 runs on threads, and
-    they pay only on wide sweeps: the median for 1..10^7 fell from about
-    2.2 s at 1 worker to 1.9 s at 2; 1..5*10^5, 1..2*10^6 and 32,768
-    starts above 2^62 stayed within 0.05 s (2-vCPU Xeon).
+    not depend on ``workers``.  Phase 1 maps the blocks over ``workers``
+    threads, and phase 2 resolves each block in range order as soon as
+    its phase 1 is done, while the threads descend later blocks; so the
+    report content is identical for any worker count.  The only array
+    over the whole range holds the totals, 4 bytes per start (8 for
+    budgets of 2^31 - 1 or more).  Only phase 1 runs on threads, and they
+    pay only on wide sweeps: the median for 1..10^7 fell from about 2.0 s
+    at 1 worker to 1.5 s at 2; 1..5*10^5 and 8,192 starts from 2^62 took
+    the same time at either count (2-vCPU Xeon).
     """
     if lo < 1:
         raise ValueError("lo must be a positive integer")
@@ -440,25 +442,18 @@ def verify_range(
     t0 = time.perf_counter()
 
     chunks = [(a, min(a + chunk_size - 1, hi)) for a in range(lo, hi + 1, chunk_size)]
-    size = hi - lo + 1
-    small = max(size, budget + 1) < 2**31
-    steps = np.empty(size, dtype=np.int32 if small else np.int64)
-    link = np.empty(size, dtype=steps.dtype)
+    totals = np.empty(hi - lo + 1, dtype=np.int32 if budget + 1 < 2**31 else np.int64)
     if lo < _JUMP_LIMIT:
         _residue_table()  # build once, before workers share it
 
-    def phase1(ab: tuple[int, int]) -> None:
-        a, b = ab
-        s = slice(a - lo, b - lo + 1)
-        steps[s], link[s], _ = _descend(a, np.arange(b - a + 1), lo, budget, exit_floor)
-
-    _pmap(phase1, chunks, workers)
+    def descend(ab: tuple[int, int]):
+        return _descend(ab[0], np.arange(ab[1] - ab[0] + 1), lo, budget, exit_floor)
 
     verified = 0
     max_steps = -1
     cands: list[CandidateRecord] = []
-    for a, b in chunks:
-        vc, ms, cs = _resolve_chunk(a, b, lo, budget, exit_floor, steps, link)
+    for (a, _), (steps, link, _) in zip(chunks, _pmap(descend, chunks, workers)):
+        vc, ms, cs = _resolve_chunk(a, lo, budget, exit_floor, steps, link, totals)
         verified += vc
         if ms > max_steps:
             max_steps = ms

@@ -199,7 +199,7 @@ def random_walk_compare(
     m = series.partial_sums
     length = int(np.count_nonzero(m[1:] != m[:-1]))
     root_j = np.sqrt(np.arange(2, length + 1, dtype=np.float64))
-    results = _pmap(lambda i: _walk_statistic(seed, i, root_j), range(trials), workers)
+    results = list(_pmap(lambda i: _walk_statistic(seed, i, root_j), range(trials), workers))
     stats = np.array([r[0] for r in results])
     finals = np.array([r[1] for r in results], dtype=np.float64)
     sem = float(finals.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0

@@ -50,6 +50,8 @@ ESTIMATOR_ID = "twopart-gamma+lz77/m16"
 CONCAT_SLACK_BITS = 256
 
 _MIN_MATCH = 16
+# b"0" to 0, b"1" to 1 and any other byte to 2, which __post_init__ rejects
+_ASCII_BITS = bytes(c - 48 if c in b"01" else 2 for c in range(256))
 _BIJECTION_K_MAX = 24
 
 
@@ -58,7 +60,7 @@ class ParityVector:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+        if not {0, 1}.issuperset(self.bits):
             raise ValueError("parity bits must be 0 or 1")
 
     def __len__(self) -> int:
@@ -74,7 +76,9 @@ class ParityVector:
     def coerce(cls, x) -> "ParityVector":
         if isinstance(x, cls):
             return x
-        if isinstance(x, Iterable):  # a str of digits included
+        if isinstance(x, str):
+            return cls(tuple(x.encode().translate(_ASCII_BITS)))
+        if isinstance(x, Iterable):
             return cls(tuple(map(int, x)))
         raise TypeError(f"cannot interpret {type(x).__name__} as a parity vector")
 

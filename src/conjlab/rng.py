@@ -4,8 +4,9 @@ Every randomized routine in this package draws from a counter-based Philox
 generator keyed by ``(seed, index)``.  Streams for distinct indices are
 statistically independent and, crucially, do not depend on the order in
 which they are created or consumed, so results are identical no matter how
-work is split across workers.  ``_pmap`` is the one place work is split.
-Its two callers, ``collatz.verify_range`` and ``mobius.random_walk_compare``,
+work is split across workers.  ``_pmap`` is the one place work is split;
+it yields each result in task order as soon as it is ready.  Its two
+callers, ``collatz.verify_range`` and ``mobius.random_walk_compare``,
 are where threads measurably beat a serial loop; every other ``workers``
 parameter is only checked.
 
@@ -30,16 +31,18 @@ def _check_workers(workers: int) -> None:
         raise ValueError("workers must be at least 1")
 
 
-def _pmap(fn, tasks: list, workers: int) -> list:
-    """``[fn(t) for t in tasks]``, on ``workers`` threads when that can help.
+def _pmap(fn, tasks: list, workers: int):
+    """Yield ``fn(t)`` for each task, on ``workers`` threads when that can help.
 
-    Results come back in task order whatever the worker count; runs serially
-    when ``workers == 1`` or there is at most one task.
+    Results come in task order, each once it and all before it are done;
+    runs serially, one task per ``next``, when ``workers == 1`` or there
+    is at most one task.
     """
     _check_workers(workers)
     if workers == 1 or len(tasks) <= 1:
-        return list(map(fn, tasks))
+        yield from map(fn, tasks)
+        return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        yield from pool.map(fn, tasks)

@@ -33,7 +33,10 @@ t^(-7/4) shape matches the first omitted correction order.  Higher up,
 float64 rounding in t log n overtakes it: against mpmath's siegelz the
 worst error/bound ratio was 0.36 on [2e4, 3e4], 0.90 on [3e4, 4e4] and
 above 1 from 4e4 on (11 on [1e5, 2e5]).  So Z is evaluated only for
-t <= 3e4 and larger t is rejected; theta accepts any finite t.
+t <= 3e4 and larger t is rejected.  theta, and the analytic count built
+on it, accept t up to 1e15: there theta(t)/pi reaches 2^52, where the
+float64 spacing is 1, so neither the rounded count nor the truncation
+bound would mean anything further up.
 
 zero_count_analytic rounds theta(T)/pi + 1 to the nearest integer, which
 equals the true zero count N(T) whenever |S(T)| < 1/2.  S(T) does dip
@@ -72,6 +75,8 @@ Z_CORRECTION_ORDER = 2
 _TWO_PI = 2.0 * math.pi
 _Z_ERR_COEFF = 0.03
 _Z_T_MAX = 3e4  # _Z_ERR_COEFF is checked against mpmath up to here
+# theta(t)/pi >= 2^52 from here on, where float64 spacing reaches 1
+_THETA_T_MAX = 1e15
 _HALF_WARN_BAND = 0.3
 
 
@@ -154,8 +159,12 @@ def _theta(t, log):
 
 
 def theta(t: float) -> float:
-    """Riemann-Siegel phase with corrections through t^-3."""
+    """Riemann-Siegel phase with corrections through t^-3, for t <= 1e15."""
     _check_t(t)
+    if t > _THETA_T_MAX:
+        raise ValueError(
+            f"t must be <= {_THETA_T_MAX:g}; the float64 spacing of theta(t)/pi reaches 1 there"
+        )
     return _theta(t, math.log)
 
 

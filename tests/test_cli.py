@@ -803,6 +803,19 @@ def test_z_above_its_calibrated_range_exits_2_quietly():
 
 @pytest.mark.parametrize(
     "argv",
+    [("zeta", "theta", "--t", "1e100"), ("zeta", "count", "--at", "1e200")],
+    ids=lambda a: a[1],
+)
+def test_theta_above_its_float64_range_exits_2_quietly(argv):
+    r = run(*argv)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: t must be <= 1e+15;")
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
     [
         ["zeta", "scan", "--lo", "20", "--hi", "4e4"],
         ["zeta", "refine", "--lo", "20", "--hi", "4e4"],

@@ -283,7 +283,7 @@ def test_descent_sweep_independent_of_blocks_and_workers(budget):
 
 
 def test_descent_sweep_workers_share_the_step_arrays():
-    # phase 1 threads write disjoint slices of two shared arrays
+    # phase 1 threads hand their chunks to phase 2 in range order
     import sys
 
     ref = verify_range(1, 30000, 300, chunk_size=97).to_json()
@@ -357,6 +357,24 @@ def test_residue_table_not_built_at_import():
     code = "import conjlab, conjlab.collatz as c; print(c._residue_table.cache_info().currsize)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
+
+
+def test_verify_range_holds_one_array_over_the_range():
+    # one int32 total per start; each chunk's steps and links live only
+    # until phase 2 has resolved that chunk
+    import tracemalloc
+
+    from conjlab.collatz import _residue_table
+
+    _residue_table()
+    n = 1 << 22
+    tracemalloc.start()
+    try:
+        verify_range(1, n, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n
 
 
 def test_verify_range_rejects_workers_below_one_first():

@@ -288,3 +288,9 @@ def test_coerce_errors():
         ParityVector.coerce("01a")
     with pytest.raises(TypeError, match="^cannot interpret int as a parity vector$"):
         ParityVector.coerce(5)
+
+
+@pytest.mark.parametrize("x", ["\x00\x01", "0 1", "1\n", "\u0661", "\uff10"])
+def test_coerce_str_takes_only_ascii_bits(x):
+    with pytest.raises(ValueError, match="^parity bits must be 0 or 1$"):
+        ParityVector.coerce(x)

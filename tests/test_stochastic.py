@@ -147,11 +147,14 @@ def test_workers_below_one_rejected(call, workers):
 
 def test_pmap_keeps_task_order_and_runs_small_maps_inline():
     tasks = list(range(50))
-    assert _pmap(lambda t: t * t, tasks, 4) == [t * t for t in tasks]
+    assert list(_pmap(lambda t: t * t, tasks, 4)) == [t * t for t in tasks]
     here = threading.get_ident()
-    assert _pmap(lambda t: threading.get_ident(), tasks, 1) == [here] * 50
-    assert _pmap(lambda t: threading.get_ident(), [0], 4) == [here]
-    assert _pmap(lambda t: t, [], 4) == []
+    assert list(_pmap(lambda t: threading.get_ident(), tasks, 1)) == [here] * 50
+    assert list(_pmap(lambda t: threading.get_ident(), [0], 4)) == [here]
+    assert list(_pmap(lambda t: t, [], 4)) == []
+    calls = []
+    next(_pmap(calls.append, tasks, 1))
+    assert calls == [0]
 
 
 def test_heuristic_walk_without_steps_still_checks_workers():

@@ -380,6 +380,29 @@ def test_z_above_its_calibrated_range_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: theta(1e100),
+        lambda: theta(math.nextafter(1e15, math.inf)),
+        lambda: theta_value(1e100),
+        lambda: zero_count_analytic(1e200),
+    ],
+    ids=["theta", "theta_next_float", "theta_value", "zero_count_analytic"],
+)
+def test_theta_above_its_float64_range_rejected(call):
+    with pytest.raises(ValueError, match=r"^t must be <= 1e\+15; "):
+        call()
+
+
+def test_theta_at_its_cap_still_evaluates():
+    tv = theta_value(1e15)
+    assert tv.theta / math.pi >= 2**52 and tv.error_bound > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AnalyticCountWarning)
+        assert zero_count_analytic(1e15) == math.floor(tv.theta / math.pi + 1.5)
+
+
 def test_z_at_the_cap_and_theta_above_it_still_evaluate():
     ze = z_function(3e4)
     assert ze.terms == 69 and math.isfinite(ze.z)
