@@ -27,17 +27,20 @@ that is not yet resolved.  Only the totals span the whole range.
 The sweep is exact integer arithmetic throughout.  Starts that fit in
 64 bits are advanced in vectorized numpy blocks; any iterate that could
 overflow ``3*v + 1`` in uint64 is promoted to a plain Python integer
-continuation mid-flight, so results are identical to the pure-Python
-path bit for bit.
+mid-flight and handed back to its block as soon as it fits again, so
+results are identical to the pure-Python path bit for bit.  Promotion is
+transient: 8,192 starts from just above 2^62 take about 6 steps each in
+Python ints, against 170-220 when a promoted iterate stayed in Python
+ints down to its root.
 
 This module is the package's only home of the map, spelled in five
 places, one per output shape: ``step`` (one application; ``trajectory``
-calls it), ``_follow_py`` (steps to a floor, counted only; ``iterate``
-and the end of ``_descend``), ``total_stopping_time`` (steps to 1 with
-the running maximum), ``_parities`` (the parity bits of up to k
-iterates, for ``parity`` and ``stochastic``) and ``_t_vec`` (one step
-over an integer array, for the sweep, the residue table and
-``parity.bijection_check``).  The three scalar loops stay apart because
+calls it), ``_follow_py`` (steps to a floor, counted only; ``iterate``,
+and ``_descend`` for promoted iterates and a block's last few starts),
+``total_stopping_time`` (steps to 1 with the running maximum),
+``_parities`` (the parity bits of up to k iterates, for ``parity`` and
+``stochastic``) and ``_t_vec`` (one step over an integer array, for the
+sweep, the residue table and ``parity.bijection_check``).  The three scalar loops stay apart because
 each extra duty slows the others' hot paths (2-vCPU Xeon, Python 3.11,
 median of 7): recording parities in ``_follow_py`` made 65536 starts
 from 2^62 followed to their first descent 44% slower; collecting the
@@ -275,8 +278,11 @@ def _descend(
     gets ``steps[i] = _cap(budget)``, link -1, and its iterate after
     ``budget`` steps in ``last[i]``.  ``offs`` is ascending.  Below
     ``_JUMP_LIMIT`` the first up-to-16 steps are one residue-table lookup.
-    Blocks that reach 2^63, iterates that could overflow uint64, and the
-    last few starts of a block continue in Python ints.
+    Blocks that reach 2^63 and the last few starts of a block continue in
+    Python ints.  An iterate that could overflow uint64 leaves the block
+    only until ``_follow_py`` has brought it back under the guard (or
+    below its threshold); it rejoins at the top of the loop, so the root,
+    link and budget checks see it before it takes another numpy step.
     """
     steps = np.full(offs.size, _cap(budget), dtype=np.int64)
     link = np.full(offs.size, -1, dtype=np.int64)
@@ -303,6 +309,26 @@ def _descend(
     k0_max = int(k0.max(initial=0))
     k = 0
     while v.size:
+        # near overflow: Python ints until the iterate fits again, then back
+        # into the block before the checks below see it
+        if v.size > _PY_TAIL and (up := v > guard).any():
+            back = []
+            for i, x, s, t in zip(pos[up].tolist(), v[up].tolist(),
+                                  (k0[up] + k).tolist(), thr[up].tolist()):
+                below, used, x = _follow_py(x, budget - s, max(t, _U64_GUARD + 1))
+                if below and x <= _U64_GUARD:
+                    back.append((i, x, s + used - k, t))
+                else:  # over budget, or under t but still too wide
+                    tail.append((i, x, s + used, t))
+            keep = ~up
+            v, thr, k0, pos = v[keep], thr[keep], k0[keep], pos[keep]
+            if back:
+                i, x, s, t = zip(*back)
+                v = np.concatenate((v, np.array(x, dtype=np.uint64)))
+                thr = np.concatenate((thr, np.array(t, dtype=np.uint64)))
+                k0 = np.concatenate((k0, np.array(s, dtype=np.int64)))
+                pos = np.concatenate((pos, np.array(i, dtype=pos.dtype)))
+                k0_max = max(k0_max, max(s))
         leave = v < thr
         if leave.any():
             d = np.flatnonzero(leave)
@@ -323,13 +349,10 @@ def _descend(
         if leave.any():
             keep = ~leave
             v, thr, k0, pos = v[keep], thr[keep], k0[keep], pos[keep]
-        # near overflow, or too few left for numpy to pay: Python ints
-        move = v > guard if v.size > _PY_TAIL else np.ones(v.size, dtype=bool)
-        if move.any():
-            tail += zip(pos[move].tolist(), v[move].tolist(),
-                        (k0[move] + k).tolist(), thr[move].tolist())
-            keep = ~move
-            v, thr, k0, pos = v[keep], thr[keep], k0[keep], pos[keep]
+        if v.size <= _PY_TAIL:
+            # too few left for numpy to pay: Python ints to the end
+            tail += zip(pos.tolist(), v.tolist(), (k0 + k).tolist(), thr.tolist())
+            break
         v = _t_vec(v)[1]
         k += 1
 
@@ -423,8 +446,9 @@ def verify_range(
     over the whole range holds the totals, 4 bytes per start (8 for
     budgets of 2^31 - 1 or more).  Only phase 1 runs on threads, and they
     pay only on wide sweeps: the median for 1..10^7 fell from about 2.0 s
-    at 1 worker to 1.5 s at 2; 1..5*10^5 and 8,192 starts from 2^62 took
-    the same time at either count (2-vCPU Xeon).
+    at 1 worker to 1.5 s at 2; 1..5*10^5 (about 0.12 s) and 8,192 starts
+    from 2^62 (about 0.085 s, one chunk) took the same time at either
+    count (2-vCPU Xeon, medians of 9).
     """
     if lo < 1:
         raise ValueError("lo must be a positive integer")

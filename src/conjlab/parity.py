@@ -153,8 +153,10 @@ def realize(x) -> Realization:
 def bijection_check(k: int) -> bool:
     """Exhaustively confirm that extraction maps {1, ..., 2^k} onto {0,1}^k.
 
-    Vectorized over the whole residue set; k is capped to keep the
-    working set in memory and iterates inside int64 (max growth 3^k).
+    Vectorized in blocks of 2^14 residues, whose int64 temporaries stay
+    in cache, each writing its codes into one array over all 2^k; k is
+    capped to keep that array in memory and iterates inside int64 (max
+    growth 3^k).
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -162,13 +164,16 @@ def bijection_check(k: int) -> bool:
         raise ValueError(f"k > {_BIJECTION_K_MAX} not supported by the exhaustive check")
     if k == 0:
         return True  # both sides are singletons
-    v = np.arange(1, (1 << k) + 1, dtype=np.int64)
-    codes = np.zeros(v.size, dtype=np.int64)
-    for i in range(k):
-        b, v = _t_vec(v)
-        codes |= b << i
+    n, block = 1 << k, 1 << 14
+    codes = np.zeros(n, dtype=np.int64)
+    for a in range(0, n, block):
+        c = codes[a : a + block]  # a view: the block's codes land in place
+        v = np.arange(a + 1, a + c.size + 1, dtype=np.int64)
+        for i in range(k):
+            b, v = _t_vec(v)
+            c |= b << i
     codes.sort()
-    return bool(np.array_equal(codes, np.arange(1 << k, dtype=np.int64)))
+    return bool(np.array_equal(codes, np.arange(n, dtype=np.int64)))
 
 
 def _gamma_len(m: int) -> int:

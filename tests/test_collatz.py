@@ -333,6 +333,44 @@ def test_floor_above_uint64_makes_every_start_a_root():
     assert json.loads(rep.to_json()) == _reference_doc(1, 10, 100, 2**70)
 
 
+@pytest.mark.parametrize("lo", ["guard", "frontier", "top"])
+@pytest.mark.parametrize("budget", [1, 3, 7, 120, 1000, 3000])
+@pytest.mark.parametrize("floor_at", [None, "lo"])
+def test_descent_sweep_hands_promoted_iterates_back(lo, budget, floor_at):
+    # blocks wider than the Python tail follow an iterate above the uint64
+    # guard in Python ints only until it fits again; "top" runs into the
+    # blocks at 2^63 that stay in Python ints throughout
+    from conjlab.collatz import _U64_GUARD
+
+    lo = {"guard": _U64_GUARD - 3000, "frontier": 2**62 + 401 * 2**16, "top": 2**63 - 2000}[lo]
+    hi = lo + 299
+    floor = lo if floor_at else None
+    ref = _reference_doc(lo, hi, budget, floor)
+    for chunk_size in (97, 4096):
+        rep = verify_range(lo, hi, budget, floor, chunk_size=chunk_size)
+        assert json.loads(rep.to_json()) == ref
+
+
+def test_promoted_iterates_leave_python_ints_once_they_fit(monkeypatch):
+    # an iterate above 2^62.4 rejoins the uint64 block within a few steps,
+    # so Python ints take few of the steps of starts just above 2^62
+    from conjlab import collatz
+
+    follow = collatz._follow_py
+    used = []
+
+    def spy(v, budget, exit_floor):
+        out = follow(v, budget, exit_floor)
+        used.append(out[1])
+        return out
+
+    monkeypatch.setattr(collatz, "_follow_py", spy)
+    lo = 2**62 + 401 * 2**16
+    rep = verify_range(lo, lo + 2047, 10**5)
+    assert rep.verified_count == 2048
+    assert sum(used) < 32 * 2048
+
+
 def test_residue_table_is_the_first_descent():
     from conjlab.collatz import _residue_table
 

@@ -102,6 +102,12 @@ def test_bijection_check():
         bijection_check(-1)
 
 
+@pytest.mark.parametrize("k", list(range(1, 14)) + [15, 16, 17])
+def test_bijection_check_across_residue_blocks(k):
+    # residues go in blocks of 2^14: k <= 13 fills part of one, k >= 15 several
+    assert bijection_check(k) is True
+
+
 def test_estimator_alternating_megabit():
     score = description_length_estimate("01" * 500_000)
     assert score.length == 10**6
