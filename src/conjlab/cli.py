@@ -20,8 +20,8 @@ import warnings
 from . import __version__
 from .collatz import DEFAULT_CHUNK_SIZE, total_stopping_time, trajectory, verify_range
 from .mobius import (
+    _growth_stream,
     _validate_limit,
-    growth_statistic,
     mertens,
     mobius_sieve,
     random_walk_compare,
@@ -220,7 +220,7 @@ def _cmd_mertens_series(args) -> int:
 
 
 def _cmd_mertens_growth(args) -> int:
-    g = growth_statistic(mertens(args.limit), args.epsilon)
+    g = _growth_stream(args.limit, args.epsilon)
     _records([g], args.format, ("epsilon", "sup", "argmax"))
     return 0
 

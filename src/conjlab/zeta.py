@@ -214,6 +214,13 @@ def sign_changes(t_lo: float, t_hi: float, grid_step: float) -> list[ZeroBracket
     lower bound on the number of zeros of Z in (t_lo, t_hi); a grid
     coarser than the local zero spacing undercounts, never overcounts.
     """
+    ts, flips = _sign_flips(t_lo, t_hi, grid_step)
+    return [ZeroBracket(t_lo=float(ts[i]), t_hi=float(ts[i + 1])) for i in np.flatnonzero(flips)]
+
+
+def _sign_flips(t_lo: float, t_hi: float, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The grid of ``sign_changes`` and a mask, true at i where Z changes
+    sign on [ts[i], ts[i + 1]]."""
     _check_t(t_lo)
     if not t_hi > t_lo:
         raise ValueError("t_hi must exceed t_lo")
@@ -225,8 +232,7 @@ def sign_changes(t_lo: float, t_hi: float, grid_step: float) -> list[ZeroBracket
     if ts[-1] < t_hi - 1e-12 * max(1.0, abs(t_hi)):
         ts = np.append(ts, t_hi)
     zv = z_values(ts)
-    flips = np.flatnonzero(zv[:-1] * zv[1:] < 0.0)
-    return [ZeroBracket(t_lo=float(ts[i]), t_hi=float(ts[i + 1])) for i in flips]
+    return ts, zv[:-1] * zv[1:] < 0.0
 
 
 def _bisect(brackets: list[ZeroBracket], tol: float) -> list[float]:
@@ -310,7 +316,7 @@ def verify_rh(
     count = zero_count_analytic(T)
     step_now = grid_step
     for attempt in range(max_refinements + 1):
-        found = len(sign_changes(T_MIN, T, step_now))
+        found = int(np.count_nonzero(_sign_flips(T_MIN, T, step_now)[1]))
         if found >= count:
             break
         if attempt < max_refinements:

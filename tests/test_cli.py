@@ -828,3 +828,10 @@ def test_z_above_its_calibrated_range_exits_2(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: t must be <= 30000;") and err.count("\n") == 1
+
+
+def test_mertens_growth_nan_epsilon_exits_2():
+    r = run("mertens", "growth", "--limit", 1000, "--epsilon", "nan")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: epsilon must be non-negative\n"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -185,3 +186,139 @@ def test_random_walk_compare_sieves_once(monkeypatch):
 def test_walk_length_is_squarefree_count(limit):
     r = random_walk_compare(limit, 1, seed=0, segment_size=7)
     assert r.walk_length == mobius_sieve(limit).squarefree_count()
+
+
+# --- the multiplying sieve, the streamed growth statistic, blocked walks ----
+
+_SIEVE_LIMITS = [1, 2, 2**20, 2**20 + 1, 3 * 2**20 + 5]
+
+
+def _divide_sieve(limit):
+    # the sieve as it was before it multiplied: divide each base prime out
+    # of n once and flip mu where a cofactor above 1 is left
+    root = math.isqrt(limit)
+    base = [p for p in range(2, root + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    mu = np.ones(limit + 1, dtype=np.int8)
+    mu[0] = 0
+    rem = np.arange(limit + 1, dtype=np.int64)
+    for p in base:
+        mu[p::p] *= -1
+        rem[p::p] //= p
+        mu[p * p :: p * p] = 0
+    big = rem > 1
+    mu[big] = -mu[big]
+    return mu
+
+
+@pytest.fixture(scope="module")
+def divided():
+    return {limit: _divide_sieve(limit) for limit in _SIEVE_LIMITS}
+
+
+@pytest.mark.parametrize("limit", _SIEVE_LIMITS)
+def test_multiplying_sieve_matches_divide_sieve(limit, divided):
+    assert np.array_equal(mobius_sieve(limit).values, divided[limit])
+
+
+@pytest.mark.parametrize("limit", _SIEVE_LIMITS)
+def test_mertens_matches_cumsum_of_divide_sieve(limit, divided):
+    # past 2^16 the running sum is carried from block to block
+    assert mertens(limit).partial_sums.tolist() == divided[limit].cumsum().tolist()
+
+
+@pytest.mark.parametrize("segment_size", [7, 512])
+@pytest.mark.parametrize("limit", _SIEVE_LIMITS)
+def test_small_segments_match_divide_sieve_at_both_ends(limit, segment_size, divided):
+    # a full sweep in segments of 7 or 512 past 2^20 takes seconds to
+    # minutes, so check the first and the last four segments of the split
+    ref = divided[limit]
+    for lo, mu in itertools.islice(mobius_segments(limit, segment_size), 4):
+        assert np.array_equal(mu, ref[lo : lo + mu.size])
+    base = conjlab.mobius._base_primes(math.isqrt(limit))
+    los = range(1, limit + 1, segment_size)
+    for lo in los[-4:]:
+        hi = min(lo + segment_size - 1, limit)
+        assert np.array_equal(conjlab.mobius._mobius_block(lo, hi, base), ref[lo : hi + 1])
+
+
+@pytest.mark.parametrize("limit,segment_size", [(10_007, 7), (2**16 + 1, 512)])
+def test_multiplying_sieve_small_segments_full_sweep(limit, segment_size):
+    assert np.array_equal(mobius_sieve(limit, segment_size).values, _divide_sieve(limit))
+
+
+def test_sieve_block_at_the_int32_top_matches_trial_division():
+    # the product of distinct base primes stays <= n <= 2^31 - 1 in int32
+    lo, hi = 2**31 - 1024, 2**31 - 1
+    base = conjlab.mobius._base_primes(math.isqrt(hi))
+    mu = conjlab.mobius._mobius_block(lo, hi, base)
+
+    def trial(n):
+        sign = 1
+        for p in base:
+            if p * p > n:
+                break
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                sign = -sign
+        return -sign if n > 1 else sign
+
+    assert mu.dtype == np.int8
+    assert mu.tolist() == [trial(n) for n in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("limit", _SIEVE_LIMITS)
+def test_streamed_growth_equals_growth_of_the_table(limit):
+    series = mertens(limit)
+    for eps in (0.0, 0.01, 0.37):
+        assert conjlab.mobius._growth_stream(limit, eps) == growth_statistic(series, eps)
+
+
+@pytest.mark.parametrize("limit,segment_size", [(20_003, 7), (20_003, 4099), (200_003, 2**16 + 3)])
+def test_streamed_growth_is_segment_invariant(limit, segment_size):
+    ref = growth_statistic(mertens(limit), 0.01)
+    assert conjlab.mobius._growth_stream(limit, 0.01, segment_size) == ref
+
+
+def test_streamed_growth_holds_no_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("built the Mertens table")
+
+    monkeypatch.setattr(conjlab.mobius, "mertens", no_table)
+    r = conjlab.mobius._growth_stream(10_000, 0.0)
+    assert r == GrowthReport(epsilon=0.0, sup_statistic=2 / math.sqrt(5), argmax_n=5)
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), -0.01, float("-inf")])
+def test_growth_rejects_nan_and_negative_epsilon(epsilon):
+    with pytest.raises(ValueError, match="^epsilon must be non-negative$"):
+        growth_statistic(mertens(100), epsilon)
+    with pytest.raises(ValueError, match="^epsilon must be non-negative$"):
+        conjlab.mobius._growth_stream(100, epsilon)
+
+
+def test_philox_bits_do_not_depend_on_the_split():
+    n = 10**6 + 3
+    whole = conjlab.mobius.substream(11, 5).integers(0, 2, size=n, dtype=np.int64)
+    for sizes in ([1 << 16] * (n >> 16) + [n % (1 << 16)], [1, 3, 65_537, 7, n - 65_548]):
+        gen = conjlab.mobius.substream(11, 5)
+        parts = [gen.integers(0, 2, size=s, dtype=np.int64) for s in sizes]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+def _walk_reference(seed, index, length):
+    # one draw of the whole walk, as before walks were drawn in blocks
+    gen = conjlab.mobius.substream(seed, index)
+    steps = gen.integers(0, 2, size=length, dtype=np.int64) * 2 - 1
+    w = steps.cumsum()
+    return float(np.max(np.abs(w[1:]) / np.sqrt(np.arange(2, length + 1)))), int(w[-1])
+
+
+@pytest.mark.parametrize("length", [2, 3, 2**16 - 1, 2**16 + 1])
+def test_walk_statistic_does_not_depend_on_the_block(length):
+    for index in range(3):
+        ref = _walk_reference(7, index, length)
+        blocks = (1, 2, 7, 1000, 2**16) if length < 8 else (7, 1000, 2**16, length + 5)
+        for block in blocks:
+            assert conjlab.mobius._walk_statistic(7, index, length, block) == ref
