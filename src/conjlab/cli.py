@@ -417,7 +417,7 @@ def main(argv=None) -> int:
         warnings.simplefilter("always")
         try:
             return args.func(args)
-        except ValueError as e:
+        except (ValueError, MemoryError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
         finally:

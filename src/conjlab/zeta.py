@@ -26,6 +26,13 @@ z = +-1/2 that the interpolant absorbs).  The C1/C2 coefficient
 structure was cross-checked numerically against an independent
 multiprecision evaluator before being frozen here.
 
+z_values sorts its abscissae and evaluates them in blocks of 8192 points.
+In a block, m never decreases, so the points that take term n of the
+main sum form a suffix, and each term is added on a slice.  The four Phi
+series come from one Clenshaw pass (one chebval call) over their stacked,
+zero-padded coefficients.  Both give the same float64 bits as a masked
+sum per term and four separate chebval calls.
+
 The reported accuracy 0.03 t^(-7/4) is an empirical desk-scale
 calibration with a 2x margin over the worst case observed on
 10 <= t <= 5000 (2.2e-4 near t = 10.7); it is not a proven bound.  The
@@ -126,11 +133,31 @@ _PHI_CHEB = _cheb.Chebyshev(
     _cheb.chebinterpolate(lambda u: _phi_raw(_PHI_SCALE * u), 100)
 )
 # Z uses Phi and its derivatives of orders 2, 3 and 6 only.
-_PHI_DERIVS = {k: _PHI_CHEB.deriv(k) if k else _PHI_CHEB for k in (0, 2, 3, 6)}
+_PHI_ORDERS = (0, 2, 3, 6)
 
 
-def _phi_deriv(z: np.ndarray, k: int) -> np.ndarray:
-    return _PHI_DERIVS[k](z / _PHI_SCALE) / _PHI_SCALE**k
+def _phi_stack() -> np.ndarray:
+    """The series of Phi^(k), k in _PHI_ORDERS, as the columns of one
+    (101, 4) array, zero-padded at the high-order end.  The padding keeps
+    each column's Clenshaw recurrence at exact zeros until it reaches the
+    series' leading coefficient, so one chebval pass gives the same bits
+    as four."""
+    # one chebder step per order, as Chebyshev.deriv(k) takes them
+    series = [_PHI_CHEB.coef]
+    for _ in range(_PHI_ORDERS[-1]):
+        series.append(_cheb.chebder(series[-1]))
+    stack = np.zeros((series[0].size, len(_PHI_ORDERS)))
+    for j, k in enumerate(_PHI_ORDERS):
+        stack[: series[k].size, j] = series[k]
+    return stack
+
+
+_PHI_STACK = _phi_stack()
+_PHI_POWERS = np.array([[_PHI_SCALE**k] for k in _PHI_ORDERS])
+# Points per Z block, the fastest of the sizes timed from 2048 to 32768 on
+# a 2-vCPU Xeon (6144 ties; 4096 is 45 % slower, 32768 28 %): its (4, block)
+# Clenshaw temporaries stay in L2 and numpy's per-call overhead stays small.
+_Z_BLOCK = 8192
 
 
 def _check_t(t: float) -> None:
@@ -173,29 +200,47 @@ def theta_value(t: float) -> ThetaValue:
     return ThetaValue(t=t, theta=theta(t), error_bound=62.0 / (80640.0 * t**5))
 
 
-def z_values(ts) -> np.ndarray:
-    """Vectorized Z(t) on an array of abscissae, all in [T_MIN, 3e4]."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-    if ts.size:
-        _check_t(float(ts.min()))
-        _check_z_t(float(ts.max()))
+def _z_block(ts: np.ndarray) -> np.ndarray:
+    """Z on ascending abscissae.
+
+    m never decreases along ts, so the points that take main-sum term n
+    are the suffix from the first m >= n.  Each point still adds its
+    terms n = 1, 2, ... in turn, as cos(th - t log n) / sqrt(n).
+    """
     tau = np.sqrt(ts / _TWO_PI)
     m = np.floor(tau).astype(np.int64)
     th = _theta(ts, np.log)
     acc = np.zeros_like(ts)
-    for n in range(1, int(m.max()) + 1 if ts.size else 1):
-        mask = m >= n
-        acc[mask] += np.cos(th[mask] - ts[mask] * math.log(n)) / math.sqrt(n)
+    for n, s in enumerate(np.searchsorted(m, np.arange(1, m[-1] + 1)).tolist(), 1):
+        acc[s:] += np.cos(th[s:] - ts[s:] * math.log(n)) / math.sqrt(n)
     z = 2.0 * (tau - m) - 1.0
+    phi, phi2, phi3, phi6 = _cheb.chebval(z / _PHI_SCALE, _PHI_STACK) / _PHI_POWERS
     pi2 = math.pi**2
     corr = (
-        _phi_deriv(z, 0)
-        - _phi_deriv(z, 3) / (12.0 * pi2) / tau
-        + (_phi_deriv(z, 2) / (16.0 * pi2) + _phi_deriv(z, 6) / (288.0 * pi2**2))
-        / tau**2
+        phi
+        - phi3 / (12.0 * pi2) / tau
+        + (phi2 / (16.0 * pi2) + phi6 / (288.0 * pi2**2)) / tau**2
     )
     sign = np.where(m % 2 == 1, 1.0, -1.0)  # (-1)^(m-1)
     return 2.0 * acc + sign * corr / np.sqrt(tau)
+
+
+def z_values(ts) -> np.ndarray:
+    """Vectorized Z(t) on an array of abscissae, all in [T_MIN, 3e4].
+
+    The abscissae are evaluated in ascending order, in blocks of
+    ``_Z_BLOCK`` points; the result has the shape of ``np.atleast_1d(ts)``.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
+    if ts.size:
+        _check_t(float(ts.min()))
+        _check_z_t(float(ts.max()))
+    order = np.argsort(ts, axis=None, kind="stable")
+    ascending = ts.ravel()[order]
+    out = np.empty(ts.shape)
+    for a in range(0, ts.size, _Z_BLOCK):
+        out.flat[order[a : a + _Z_BLOCK]] = _z_block(ascending[a : a + _Z_BLOCK])
+    return out
 
 
 def z_function(t: float) -> ZEvaluation:
@@ -214,25 +259,44 @@ def sign_changes(t_lo: float, t_hi: float, grid_step: float) -> list[ZeroBracket
     lower bound on the number of zeros of Z in (t_lo, t_hi); a grid
     coarser than the local zero spacing undercounts, never overcounts.
     """
-    ts, flips = _sign_flips(t_lo, t_hi, grid_step)
+    ts, _, flips = _sign_flips(t_lo, t_hi, grid_step)
     return [ZeroBracket(t_lo=float(ts[i]), t_hi=float(ts[i + 1])) for i in np.flatnonzero(flips)]
 
 
-def _sign_flips(t_lo: float, t_hi: float, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The grid of ``sign_changes`` and a mask, true at i where Z changes
-    sign on [ts[i], ts[i + 1]]."""
+def _check_step(grid_step: float) -> None:
+    if not 0.0 < grid_step < math.inf:
+        raise ValueError("grid_step must be positive and finite")
+
+
+def _sign_flips(
+    t_lo: float, t_hi: float, grid_step: float, known: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid ts of ``sign_changes``, Z on it, and a mask, true at i
+    where Z changes sign on [ts[i], ts[i + 1]].
+
+    An abscissa equal bit for bit to one in ``known``, the (ts, zv) of an
+    earlier call, keeps that call's value, as Z depends on t alone; the
+    others go to z_values in one call.
+    """
     _check_t(t_lo)
     if not t_hi > t_lo:
         raise ValueError("t_hi must exceed t_lo")
     _check_z_t(t_hi)
-    if not grid_step > 0.0:
-        raise ValueError("grid_step must be positive")
-    n = int(math.floor((t_hi - t_lo) / grid_step + 1e-9))
-    ts = t_lo + grid_step * np.arange(n + 1, dtype=np.float64)
+    _check_step(grid_step)
+    steps = (t_hi - t_lo) / grid_step
+    if steps == math.inf:
+        raise ValueError("grid_step is too small: the grid's point count overflows")
+    ts = t_lo + grid_step * np.arange(int(math.floor(steps + 1e-9)) + 1, dtype=np.float64)
     if ts[-1] < t_hi - 1e-12 * max(1.0, abs(t_hi)):
         ts = np.append(ts, t_hi)
-    zv = z_values(ts)
-    return ts, zv[:-1] * zv[1:] < 0.0
+    zv = np.full(ts.size, np.nan)
+    if known is not None:
+        at = np.searchsorted(ts, known[0]).clip(max=ts.size - 1)
+        hit = ts[at] == known[0]
+        zv[at[hit]] = known[1][hit]
+    fresh = np.isnan(zv)  # Z is finite wherever it is defined
+    zv[fresh] = z_values(ts[fresh])
+    return ts, zv, zv[:-1] * zv[1:] < 0.0
 
 
 def _bisect(brackets: list[ZeroBracket], tol: float) -> list[float]:
@@ -305,18 +369,25 @@ def verify_rh(
     is missed on (0, 10).  If the scan undercounts, the grid is halved up
     to ``max_refinements`` times; ``verified`` records exact agreement at
     the final grid.  T above Z's cap of 3e4 is rejected before any count.
+
+    A halved grid repeats the coarser grid's abscissae bit for bit
+    (t_lo + (s/2)(2k) == t_lo + s k, as s/2 is an exact scaling), and
+    those points keep the values already computed: each abscissa is
+    evaluated once over all refinements, one z_values call per grid.
     """
     if not T >= 14.0:
         raise ValueError("T must be >= 14 (below the first zero the report is vacuous)")
     _check_z_t(T)
-    if not grid_step > 0.0:
-        raise ValueError("grid_step must be positive")
+    _check_step(grid_step)
     if max_refinements < 0:
         raise ValueError("max_refinements must be non-negative")
     count = zero_count_analytic(T)
     step_now = grid_step
+    known = None
     for attempt in range(max_refinements + 1):
-        found = int(np.count_nonzero(_sign_flips(T_MIN, T, step_now)[1]))
+        ts, zv, flips = _sign_flips(T_MIN, T, step_now, known)
+        known = ts, zv
+        found = int(np.count_nonzero(flips))
         if found >= count:
             break
         if attempt < max_refinements:

@@ -835,3 +835,42 @@ def test_mertens_growth_nan_epsilon_exits_2():
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr == "error: epsilon must be non-negative\n"
+
+
+@pytest.mark.parametrize("step", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "scan", "--lo", "10", "--hi", "30"],
+        ["zeta", "refine", "--lo", "10", "--hi", "30"],
+        ["zeta", "verify", "--T", "100"],
+    ],
+    ids=lambda a: a[1],
+)
+def test_non_finite_grid_step_exits_2_quietly(argv, step, capsys):
+    assert cli.main(argv + ["--step", step]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: grid_step must be positive and finite\n"
+
+
+def test_non_finite_grid_step_through_the_entry_point():
+    r = run("zeta", "scan", "--lo", "10", "--hi", "30", "--step", "inf")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: grid_step must be positive and finite\n"
+
+
+def test_grid_too_fine_to_allocate_exits_2(capsys):
+    # 3e16 grid points: numpy refuses the 213 PiB at once and allocates nothing
+    assert cli.main(["zeta", "scan", "--lo", "10", "--hi", "30000", "--step", "1e-12"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "PiB" in err
+
+
+@pytest.mark.parametrize("step", ["1e-310", "5e-324"])
+def test_grid_step_too_small_to_count_exits_2(step, capsys):
+    assert cli.main(["zeta", "scan", "--lo", "10", "--hi", "30000", "--step", step]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: grid_step is too small: the grid's point count overflows\n"

@@ -22,6 +22,7 @@ from conjlab.zeta import (
 )
 
 from em_zeta import EM_ERROR_BOUND, zeta_half
+from z_reference import z_values_reference
 
 
 def test_theta_strictly_increasing():
@@ -407,3 +408,170 @@ def test_z_at_the_cap_and_theta_above_it_still_evaluate():
     ze = z_function(3e4)
     assert ze.terms == 69 and math.isfinite(ze.z)
     assert theta_value(1e6).error_bound > 0
+
+
+# --- the Z kernel against its frozen reference, and grid reuse in verify_rh ---
+
+
+def _z_grid(step, T):
+    return zeta._sign_flips(T_MIN, T, step)[0]
+
+
+def _m_steps():
+    # t = 2 pi n^2 is where m = floor(sqrt(t / 2 pi)) steps from n - 1 to n
+    ts = [T_MIN, 3e4]
+    for n in range(2, 70):
+        t = 2.0 * math.pi * n * n
+        ts += [math.nextafter(t, 0.0), t, math.nextafter(t, math.inf), t - 1e-6, t + 1e-6]
+    return np.array(ts)
+
+
+def _uniform(sort):
+    ts = np.random.default_rng(12).uniform(T_MIN, 3e4, 50_001)
+    return np.sort(ts) if sort else ts
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [
+        lambda: T_MIN + 0.2 * np.arange(39_951),  # the scan grids up to 8000
+        lambda: T_MIN + 0.1 * np.arange(79_901),
+        lambda: _uniform(sort=False),
+        lambda: _uniform(sort=True),
+        lambda: _uniform(sort=True)[::-1],
+        lambda: np.repeat(np.linspace(20.0, 2e4, 300), 3)[::-1].copy(),
+        lambda: np.array([3e4]),
+        lambda: _m_steps(),
+        lambda: np.random.default_rng(3).permutation(_m_steps()),
+        lambda: np.linspace(T_MIN, 3e4, 1),
+        lambda: np.linspace(T_MIN, 3e4, zeta._Z_BLOCK - 1),
+        lambda: np.linspace(T_MIN, 3e4, zeta._Z_BLOCK),
+        lambda: np.linspace(T_MIN, 3e4, zeta._Z_BLOCK + 1),
+        lambda: np.linspace(6e3, 3e4, zeta._Z_BLOCK + 1)[::-1],
+    ],
+    ids=["grid_0.2", "grid_0.1", "uniform_shuffled", "uniform_sorted", "descending",
+         "duplicates", "top", "m_steps", "m_steps_shuffled", "len_1", "len_block-1",
+         "len_block", "len_block+1", "len_block+1_descending"],
+)
+def test_z_values_equal_to_reference(ts):
+    ts = ts()
+    got = z_values(ts)
+    assert got.shape == ts.shape
+    assert np.array_equal(got, z_values_reference(ts))
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [np.empty(0), np.empty((0, 3)), np.float64(123.4), 20.0, [[15.0, 3e4], [14.0, 99.0]],
+     np.linspace(T_MIN, 3e4, 600).reshape(20, 30), np.linspace(T_MIN, 3e4, 600).reshape(30, 20).T],
+    ids=["empty", "empty_2d", "0d", "scalar", "list_2d", "2d", "2d_transposed"],
+)
+def test_z_values_shape_and_value_as_reference(ts):
+    got, want = z_values(ts), z_values_reference(ts)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_z_values_leaves_its_input_alone():
+    ts = _uniform(sort=False)[:1000]
+    before = ts.copy()
+    z_values(ts)
+    assert np.array_equal(ts, before)
+
+
+def test_phi_stack_matches_separate_chebval():
+    u = np.linspace(-1.0, 1.0, 2001)
+    rows = np.polynomial.chebyshev.chebval(u, zeta._PHI_STACK)
+    for row, k in zip(rows, zeta._PHI_ORDERS):
+        series = zeta._PHI_CHEB.deriv(k) if k else zeta._PHI_CHEB
+        assert np.array_equal(row, series(u))
+
+
+def _verify_rh_from_scratch(T, grid_step, max_refinements):
+    count = zero_count_analytic(T)
+    step = grid_step
+    for attempt in range(max_refinements + 1):
+        found = len(sign_changes(T_MIN, T, step))
+        if found >= count:
+            break
+        if attempt < max_refinements:
+            step *= 0.5
+    return RHReport(
+        T=T, sign_change_count=found, analytic_count=count, verified=found == count,
+        grid_step=step,
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(30.0, 0.05, r) for r in range(4)]
+    + [(100.0, 1.6, 8), (1000.0, 0.3, 3), (8000.0, 0.2, 3), (257.3, 1.3, 4)],
+)
+def test_verify_rh_equal_to_scanning_every_grid(args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AnalyticCountWarning)
+        assert verify_rh(*args) == _verify_rh_from_scratch(*args)
+
+
+@pytest.mark.parametrize(
+    "args, grids",
+    [((100.0, 1.6, 8), 2), ((257.3, 1.3, 4), 2), ((30.0, 0.05, 3), 4)],
+)
+def test_verify_rh_evaluates_each_abscissa_once(args, grids, z_calls):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AnalyticCountWarning)
+        rep = verify_rh(*args)
+    calls = list(z_calls)
+    final = _z_grid(rep.grid_step, args[0])
+    assert len(calls) == grids  # one call per grid
+    assert sum(calls) == final.size
+
+
+def test_verify_rh_at_the_bench_size_evaluates_79901_points(z_calls):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AnalyticCountWarning)
+        rep = verify_rh(8000.0, 0.2)
+    assert (rep.grid_step, rep.verified) == (0.1, True)
+    assert z_calls == [39951, 39950]  # 119,852 points before the reuse
+
+
+def test_appended_endpoint_is_reused():
+    # 90 / 1.6 and 90 / 0.8 are not integers, so both grids append T = 100
+    coarse, fine = _z_grid(1.6, 100.0), _z_grid(0.8, 100.0)
+    assert coarse[-1] == fine[-1] == 100.0 and coarse.size == 58 and fine.size == 114
+    assert not np.array_equal(fine[0 : 2 * coarse.size : 2], coarse)
+    zv = zeta._sign_flips(T_MIN, 100.0, 0.8, (coarse, np.full(coarse.size, np.inf)))[1]
+    assert np.isinf(zv).sum() == coarse.size
+    assert np.array_equal(zv[~np.isinf(zv)], z_values(fine[~np.isin(fine, coarse)]))
+
+
+@pytest.mark.parametrize("step", [math.inf, math.nan, -math.inf, 0.0, -0.1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: sign_changes(10.0, 30.0, s),
+        lambda s: zeros_in(10.0, 30.0, s),
+        lambda s: verify_rh(100.0, s),
+    ],
+    ids=["sign_changes", "zeros_in", "verify_rh"],
+)
+def test_non_finite_grid_step_rejected_before_any_work(call, step, z_calls):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^grid_step must be positive and finite$"):
+            call(step)
+    assert z_calls == []
+
+
+def test_only_bit_equal_abscissae_are_reused():
+    fine = _z_grid(0.8, 100.0)
+    near = np.nextafter(fine[::2], 0.0)  # one ulp below every other point
+    zv = zeta._sign_flips(T_MIN, 100.0, 0.8, (near, np.full(near.size, np.inf)))[1]
+    assert np.array_equal(zv, z_values(fine))
+
+
+def test_grid_step_too_small_to_count_rejected(z_calls):
+    # (30 - 10) / 1e-310 overflows float64, so the point count is infinite
+    with pytest.raises(ValueError, match="grid_step is too small"):
+        sign_changes(10.0, 30.0, 1e-310)
+    assert z_calls == []
