@@ -193,6 +193,8 @@ def _cmd_walk_empirical(args) -> int:
 
 def _cmd_mertens_sieve(args) -> int:
     _validate_limit(args.limit)
+    if args.head is not None and args.head < 0:
+        raise ValueError("head must be non-negative")
     upto = args.limit if args.head is None else min(args.head, args.limit)
     table = mobius_sieve(max(upto, 1))  # mu(n) does not depend on --limit
     _emit(

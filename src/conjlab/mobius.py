@@ -1,12 +1,13 @@
 """Segmented Mobius sieve, Mertens partial sums, and a random-walk yardstick.
 
-mu(n) is computed by trial marking with the primes up to sqrt(limit):
-each prime flips the sign of its multiples, multiplies itself into
-their running product of distinct base primes, and each prime square
-kills its multiples.  No integer is divided: n has one more prime
-factor, above sqrt(limit), exactly when that product is still below n,
-which costs one more sign flip.  The product never exceeds n, so it
-fits in int32 up to the largest accepted limit, 2^31 - 1.
+mu(n) is computed by trial marking with the primes p up to sqrt(limit):
+one int32 array takes ``*= -p`` on the multiples of p and 0 on those of
+p^2, so it holds the signed product of the distinct base primes of n.
+2, 3, 5 and 7 come from a pattern of period 44100, built on first use.
+No integer is divided: n has one more prime factor, above sqrt(limit),
+exactly when |product| is still below n, which costs one more sign
+flip, taken in place with no boolean temporaries.  |product| <= n, so
+int32 holds it up to the largest accepted limit, 2^31 - 1.
 
 Segments keep the working set small, and one loop carries the running
 M(n) across them in blocks of 2^16.  ``mertens`` stores what that loop
@@ -18,9 +19,12 @@ every eps > 0 is equivalent to the Riemann hypothesis; comparing it
 against the same statistic for genuine +-1 random walks of matching
 length shows how unusually tame M is.  Each walk is drawn and scanned in
 blocks of 2^16 steps with a carried position; Philox gives the same
-draws however a stream is split, so the blocks change no result.
+draws however a stream is split, so the blocks change no result.  A
+block whose bound (max |M| / lo^(1/2+eps), max |W| / sqrt(lo)) cannot
+beat the best so far is skipped.
 """
 
+import functools
 from dataclasses import dataclass
 from math import isqrt
 
@@ -43,6 +47,7 @@ __all__ = [
 DEFAULT_SEGMENT_SIZE = 1 << 20
 _BLOCK = 1 << 16  # n per Mertens block, steps per walk block
 _LIMIT_MAX = 2**31 - 1
+_WHEEL = 44100  # 2^2 3^2 5^2 7^2
 
 
 @dataclass
@@ -99,20 +104,38 @@ def _validate_limit(limit: int) -> None:
         raise ValueError(f"limit must not exceed {_LIMIT_MAX}")
 
 
+@functools.cache
+def _wheel() -> np.ndarray:
+    """The signed product of 2, 3, 5 and 7 over two periods of 2^2 3^2 5^2 7^2."""
+    prod = np.ones(2 * _WHEEL, dtype=np.int32)
+    for p in (2, 3, 5, 7):
+        prod[::p] *= -p
+        prod[:: p * p] = 0
+    prod.setflags(write=False)
+    return prod
+
+
 def _mobius_block(lo: int, hi: int, base: list[int]) -> np.ndarray:
     """mu(lo..hi) as int8, marked by ``base``, which holds every prime <= sqrt(hi)."""
-    mu = np.ones(hi - lo + 1, dtype=np.int8)
-    prod = np.ones(hi - lo + 1, dtype=np.int32)  # distinct base primes of n, <= n
+    size = hi - lo + 1
+    off = lo % _WHEEL
+    # (-1)^k * the k distinct primes of n among 2, 3, 5, 7 and base, or 0
+    prod = np.resize(_wheel()[off : off + min(size, _WHEEL)], size)
     for p in base:
-        start = (-lo) % p
-        mu[start::p] *= -1
-        prod[start::p] *= p
-        p2 = p * p
-        if p2 <= hi:
-            mu[(-lo) % p2 :: p2] = 0
-    # prod < n: n has one prime factor above sqrt(hi) (or mu(n) is 0 already)
-    big = prod < np.arange(lo, hi + 1, dtype=np.int32)
-    mu[big] = -mu[big]
+        if p > 7:
+            prod[(-lo) % p :: p] *= -p
+            p2 = p * p
+            if p2 <= hi:
+                prod[(-lo) % p2 :: p2] = 0
+    mu = np.empty(size, dtype=np.int8)
+    np.sign(prod, out=mu, casting="unsafe")
+    np.abs(prod, out=prod)
+    # |prod| < n: one prime factor above sqrt(hi), so flip (or mu(n) is 0)
+    n = np.arange(lo, hi + 1, dtype=np.int32)
+    np.less(prod, n, out=n, casting="unsafe")
+    n *= -2
+    n += 1
+    np.multiply(mu, n, out=mu, casting="unsafe")
     return mu
 
 
@@ -183,6 +206,9 @@ def _fold_growth(blocks, limit: int, epsilon: float) -> GrowthReport:
     best = 0.0
     best_n = 0
     for lo, sums in blocks:
+        # the margin covers a few ulps of pow; lo^-expo cannot overflow
+        if max(sums.max(), -sums.min()) * lo**-expo * (1 + 2**-40) < best:
+            continue
         value, n = _block_best(lo, sums, expo)
         if value > best:
             best, best_n = value, n
@@ -215,18 +241,21 @@ def _walk_statistic(seed: int, index: int, length: int, block: int = _BLOCK) -> 
     best = 0.0
     pos = 0
     for lo in range(1, length + 1, block):  # this block holds W(lo), W(lo + 1), ...
-        w = gen.integers(0, 2, size=min(block, length + 1 - lo), dtype=np.int64)
+        # the same next_uint32 per step as int64 draws
+        w = gen.integers(0, 2, size=min(block, length + 1 - lo), dtype=np.int32)
         w *= 2
         w -= 1
         np.cumsum(w, out=w)
         w += pos
         pos = int(w[-1])
         first = max(lo, 2)
-        stats = np.sqrt(np.arange(first, lo + w.size, dtype=np.float64))
         tail = w[first - lo :]
+        # exact: sqrt and division are monotone
+        if not tail.size or max(tail.max(), -tail.min()) / np.sqrt(first) <= best:
+            continue
+        stats = np.sqrt(np.arange(first, lo + w.size, dtype=np.float64))
         np.divide(np.abs(tail, out=tail), stats, out=stats)
-        if stats.size:
-            best = max(best, float(stats.max()))
+        best = max(best, float(stats.max()))
     return best, pos
 
 
@@ -248,10 +277,9 @@ def random_walk_compare(
     walks themselves are unbiased.
 
     Walk i draws from stream (seed, i) in blocks of 2^16 steps, on one of
-    ``workers`` threads.  Threads still pay with walks drawn in blocks:
-    (10**6, 20, 3) took 0.29 s at 1 worker and 0.21 s at 2, against
-    0.36 s and 0.25 s with each walk drawn whole (medians of 48
-    alternating runs, idle 2-vCPU Xeon).
+    ``workers`` threads.  Threads still pay: (10**6, 20, 3) took 0.14 s
+    at 1 worker and 0.11 s at 2 (medians of 48 alternating runs, 2-vCPU
+    Xeon, numpy 2.4.6).
     """
     if limit < 2:
         raise ValueError("limit must be at least 2")

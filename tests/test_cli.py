@@ -500,10 +500,10 @@ _GOLDEN = [
     ),
     (
         ("mertens", "sieve", "--limit", 100, "--head", -2),
-        0,
+        2,
         "",
         "",
-        "",
+        "error: head must be non-negative\n",
     ),
     (
         ("mertens", "series", "--limit", 1000),
@@ -835,6 +835,13 @@ def test_mertens_growth_nan_epsilon_exits_2():
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr == "error: epsilon must be non-negative\n"
+
+
+def test_mertens_sieve_negative_head_exits_2():
+    r = run("mertens", "sieve", "--limit", 5, "--head", -3)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: head must be non-negative\n"
 
 
 @pytest.mark.parametrize("step", ["inf", "nan"])

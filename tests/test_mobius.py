@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -322,3 +324,116 @@ def test_walk_statistic_does_not_depend_on_the_block(length):
         blocks = (1, 2, 7, 1000, 2**16) if length < 8 else (7, 1000, 2**16, length + 5)
         for block in blocks:
             assert conjlab.mobius._walk_statistic(7, index, length, block) == ref
+
+
+# --- the signed-product sieve, the block bounds, int32 walk draws -----------
+
+_WHEEL = 44100  # 2^2 3^2 5^2 7^2, the period of the 2, 3, 5, 7 pattern
+
+
+@pytest.mark.parametrize(
+    "k,m", [(1, -1), (2, 1), (3, 2), (4, -23), (5, -48), (6, 212), (7, 1037)]
+)
+def test_mertens_at_powers_of_ten(k, m):
+    # OEIS A084237
+    assert mertens(10**k).partial_sums[10**k] == m
+
+
+def test_mertens_at_powers_of_ten_through_the_cli():
+    at = ",".join(str(10**k) for k in range(1, 8))
+    r = subprocess.run(
+        [sys.executable, "-m", "conjlab.cli", "mertens", "series", "--limit", str(10**7), "--at", at],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.splitlines() == [
+        "10,-1", "100,1", "1000,2", "10000,-23", "100000,-48", "1000000,212", "10000000,1037"
+    ]
+
+
+@pytest.mark.parametrize("limit,count", [(10**4, 6083), (10**6, 607926)])
+def test_squarefree_counts(limit, count):
+    assert mobius_sieve(limit).squarefree_count() == count
+
+
+@pytest.fixture(scope="module")
+def divided_wheel():
+    return _divide_sieve(7 * _WHEEL)
+
+
+@pytest.mark.parametrize("size", [7, _WHEEL - 1, _WHEEL + 1])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_block_at_the_wheel_period_matches_divide_sieve(k, size, divided_wheel):
+    for lo in (_WHEEL * k - 1, _WHEEL * k, _WHEEL * k + 1):
+        hi = lo + size - 1
+        base = conjlab.mobius._base_primes(math.isqrt(hi))
+        assert np.array_equal(conjlab.mobius._mobius_block(lo, hi, base), divided_wheel[lo : hi + 1])
+
+
+@pytest.mark.parametrize("segment_size", [1, 2, 3, 7])
+def test_small_limits_match_divide_sieve(segment_size):
+    # below 49 the pattern of 2, 3, 5, 7 marks primes above sqrt(limit)
+    for limit in range(1, 61):
+        assert np.array_equal(mobius_sieve(limit, segment_size).values, _divide_sieve(limit))
+
+
+def _growth_reference(sums, epsilon):
+    # sums[i] = M(i + 1); every n >= 2 at once, no block skipped
+    if sums.size < 2:
+        return GrowthReport(epsilon=epsilon, sup_statistic=0.0, argmax_n=0)
+    ns = np.arange(2, sums.size + 1, dtype=np.float64)
+    stats = np.abs(sums[1:]).astype(np.float64) / ns ** (0.5 + epsilon)
+    i = int(np.argmax(stats))
+    return GrowthReport(epsilon=epsilon, sup_statistic=float(stats[i]), argmax_n=i + 2)
+
+
+@pytest.mark.parametrize("limit", _SIEVE_LIMITS)
+def test_block_bound_changes_no_growth_report(limit, monkeypatch):
+    scanned = []
+    best = conjlab.mobius._block_best
+
+    def counting(lo, sums, expo):
+        scanned.append(lo)
+        return best(lo, sums, expo)
+
+    monkeypatch.setattr(conjlab.mobius, "_block_best", counting)
+    series = mertens(limit)
+    with np.errstate(over="ignore"):  # n^inf
+        for eps in (0.0, 1e-12, 0.01, 0.37, 2.0, float("inf")):
+            ref = _growth_reference(series.partial_sums[1:], eps)
+            scanned.clear()
+            assert conjlab.mobius._growth_stream(limit, eps) == ref
+            # 2 / sqrt(5) at n = 5 bounds every later block of 2^16 away;
+            # at eps = inf every statistic is 0 and no block is skipped
+            assert len(scanned) == (1 if eps < float("inf") else -(-limit // 2**16))
+            assert growth_statistic(series, eps) == ref
+
+
+@pytest.mark.parametrize("block", [8, 1000, 2**16])
+def test_block_bound_keeps_late_maxima_and_the_first_tie(block):
+    # a +-1 walk in place of M, whose sup lies past its first blocks; exact
+    # ties |M(n)| / sqrt(n) = 1 at n = 4, 16, 64, ...; and a sup at the
+    # start of a block that the block's last n would bound away
+    walk = np.cumsum(conjlab.mobius.substream(19, 0).integers(0, 2, size=300_000) * 2 - 1)
+    ties = np.zeros(5000, dtype=np.int64)
+    ties[[3, 15, 63, 255, 1023, 4095]] = [2, -4, 8, -16, 32, -64]
+    spike = np.zeros(200_000, dtype=np.int64)
+    spike[[4, 2**17]] = [-2, 324]
+    assert _growth_reference(walk, 0.0).argmax_n > 2**16
+    assert _growth_reference(ties, 0.0).argmax_n == 4
+    assert _growth_reference(spike, 0.0).argmax_n == 2**17 + 1
+    for sums in (walk, ties, spike):
+        blocks = [(lo, sums[lo - 1 : lo - 1 + block]) for lo in range(1, sums.size + 1, block)]
+        for eps in (0.0, 0.01, 2.0):
+            got = conjlab.mobius._fold_growth(blocks, sums.size, eps)
+            assert got == _growth_reference(sums, eps)
+
+
+def test_walk_statistic_equals_int64_draws_at_the_bench_length():
+    for index in range(20):
+        assert conjlab.mobius._walk_statistic(401, index, 607926) == _walk_reference(401, index, 607926)
+
+
+def test_importing_the_cli_builds_no_wheel():
+    code = "import conjlab.cli, conjlab.mobius as m; assert m._wheel.cache_info().currsize == 0"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
