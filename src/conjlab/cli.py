@@ -14,48 +14,38 @@ mismatch), 2 usage or domain error.
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import warnings
 
 from . import __version__
-from .collatz import DEFAULT_CHUNK_SIZE, total_stopping_time, trajectory, verify_range
-from .mobius import (
-    _growth_stream,
-    _validate_limit,
-    mertens,
-    mobius_sieve,
-    random_walk_compare,
-)
-from .parity import (
-    ESTIMATOR_ID,
-    bijection_check,
-    description_length_estimate,
-    estimator_overhead,
-    parity_vector,
-    random_fraction,
-    realize,
-)
-from .stochastic import (
-    WalkConfig,
-    empirical_parity_frequency,
-    expected_step_drift,
-    heuristic_walk,
-)
-from .zeta import (
-    Z_CORRECTION_ORDER,
-    sign_changes,
-    theta_value,
-    verify_rh,
-    z_function,
-    zero_count_analytic,
-    zeros_in,
-)
 
-_BANNER = (
-    f"conjlab {__version__} "
-    f"(estimator={ESTIMATOR_ID}; riemann-siegel-correction=C{Z_CORRECTION_ORDER}; "
-    f"theta-series=t^-3)"
-)
+# conjlab makes no BLAS call, and numpy's bundled OpenBLAS spends about
+# 70 ms of CPU building a thread pool as it loads (2-vCPU Xeon).  The pin
+# is set on import, before any handler imports numpy, and not in main(),
+# which a caller may reach after loading numpy itself; a value the user
+# set stays.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+# Each handler imports the library names it runs, so a subcommand loads
+# only its own modules (``walk``: rng, collatz and stochastic; ``zeta``:
+# zeta; ``mertens``: rng and mobius) and the parser loads none.
+
+
+class _Banner(argparse.Action):
+    """``--version``: print the banner on one line, whatever the terminal
+    width, and exit.  It is built only when asked for."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from .parity import ESTIMATOR_ID
+        from .zeta import Z_CORRECTION_ORDER
+
+        print(
+            f"conjlab {__version__} "
+            f"(estimator={ESTIMATOR_ID}; riemann-siegel-correction=C{Z_CORRECTION_ORDER}; "
+            f"theta-series=t^-3)"
+        )
+        parser.exit()
 
 
 def _fmt(v) -> str:
@@ -82,12 +72,14 @@ def _records(recs, fmt: str, names=None) -> None:
 
 
 def _cmd_collatz_verify(args) -> int:
+    from .collatz import DEFAULT_CHUNK_SIZE, verify_range
+
     rep = verify_range(
         args.lo,
         args.hi,
         args.budget,
         args.floor,
-        chunk_size=args.chunk_size,
+        chunk_size=DEFAULT_CHUNK_SIZE if args.chunk_size is None else args.chunk_size,
         workers=args.workers,
     )
     print(
@@ -107,6 +99,8 @@ def _cmd_collatz_verify(args) -> int:
 
 
 def _cmd_collatz_trajectory(args) -> int:
+    from .collatz import trajectory
+
     traj = trajectory(args.n, args.max_steps)
     if args.format == "jsonl":
         _records([traj], "jsonl")
@@ -120,6 +114,8 @@ def _cmd_collatz_trajectory(args) -> int:
 
 
 def _cmd_collatz_stopping(args) -> int:
+    from .collatz import total_stopping_time
+
     rec = total_stopping_time(args.n, args.budget)
     if rec is None:
         print(f"budget {args.budget} exhausted before n={args.n} reached 1", file=sys.stderr)
@@ -129,23 +125,31 @@ def _cmd_collatz_stopping(args) -> int:
 
 
 def _cmd_parity_extract(args) -> int:
+    from .parity import parity_vector
+
     x = parity_vector(args.n, args.k)
     _emit(("n", "k", "bits"), [(args.n, args.k, x.to_bitstring())], args.format)
     return 0
 
 
 def _cmd_parity_realize(args) -> int:
+    from .parity import realize
+
     _records([realize(args.bits)], args.format)
     return 0
 
 
 def _cmd_parity_bijection(args) -> int:
+    from .parity import bijection_check
+
     ok = bijection_check(args.k)
     _emit(("k", "ok"), [(args.k, ok)], args.format)
     return 0 if ok else 1
 
 
 def _cmd_parity_score(args) -> int:
+    from .parity import description_length_estimate, parity_vector
+
     if args.bits is not None:
         x = args.bits
     elif args.n is not None and args.k is not None:
@@ -159,6 +163,8 @@ def _cmd_parity_score(args) -> int:
 
 
 def _cmd_parity_fraction(args) -> int:
+    from .parity import estimator_overhead, random_fraction
+
     threshold = args.threshold if args.threshold is not None else estimator_overhead(args.k)
     frac = random_fraction(
         args.k, args.samples, args.seed, threshold, workers=args.workers
@@ -172,6 +178,8 @@ def _cmd_parity_fraction(args) -> int:
 
 
 def _cmd_walk_simulate(args) -> int:
+    from .stochastic import WalkConfig, expected_step_drift, heuristic_walk
+
     summary = heuristic_walk(
         WalkConfig(trials=args.trials, steps=args.steps, seed=args.seed, p_odd=args.p_odd),
         workers=args.workers,
@@ -182,6 +190,8 @@ def _cmd_walk_simulate(args) -> int:
 
 
 def _cmd_walk_empirical(args) -> int:
+    from .stochastic import empirical_parity_frequency
+
     freq = empirical_parity_frequency(args.lo, args.count, args.k)
     _emit(
         ("lo", "count", "k", "frequency"),
@@ -192,6 +202,8 @@ def _cmd_walk_empirical(args) -> int:
 
 
 def _cmd_mertens_sieve(args) -> int:
+    from .mobius import _validate_limit, mobius_sieve
+
     _validate_limit(args.limit)
     if args.head is not None and args.head < 0:
         raise ValueError("head must be non-negative")
@@ -206,6 +218,8 @@ def _cmd_mertens_sieve(args) -> int:
 
 
 def _cmd_mertens_series(args) -> int:
+    from .mobius import _validate_limit, mertens
+
     _validate_limit(args.limit)
     at = str(args.limit) if args.at is None else args.at
     points = [int(s) for s in at.split(",") if s.strip()]
@@ -222,12 +236,16 @@ def _cmd_mertens_series(args) -> int:
 
 
 def _cmd_mertens_growth(args) -> int:
+    from .mobius import _growth_stream
+
     g = _growth_stream(args.limit, args.epsilon)
     _records([g], args.format, ("epsilon", "sup", "argmax"))
     return 0
 
 
 def _cmd_mertens_compare(args) -> int:
+    from .mobius import random_walk_compare
+
     c = random_walk_compare(args.limit, args.trials, args.seed, workers=args.workers)
     names = [f.name for f in dataclasses.fields(c)]
     _records([c], args.format, ("n", *names[1:]))
@@ -235,33 +253,45 @@ def _cmd_mertens_compare(args) -> int:
 
 
 def _cmd_zeta_theta(args) -> int:
+    from .zeta import theta_value
+
     _records([theta_value(args.t)], args.format)
     return 0
 
 
 def _cmd_zeta_z(args) -> int:
+    from .zeta import z_function
+
     _records([z_function(args.t)], args.format)
     return 0
 
 
 def _cmd_zeta_scan(args) -> int:
+    from .zeta import sign_changes
+
     _records(sign_changes(args.lo, args.hi, args.step), args.format)
     return 0
 
 
 def _cmd_zeta_count(args) -> int:
+    from .zeta import zero_count_analytic
+
     count = zero_count_analytic(args.at)
     _emit(("T", "count"), [(args.at, count)], args.format)
     return 0
 
 
 def _cmd_zeta_refine(args) -> int:
+    from .zeta import zeros_in
+
     zs = zeros_in(args.lo, args.hi, args.step, args.tol)
     _emit(("index", "t"), [(i + 1, z) for i, z in enumerate(zs)], args.format)
     return 0
 
 
 def _cmd_zeta_verify(args) -> int:
+    from .zeta import verify_rh
+
     rep = verify_rh(args.T, args.step, args.max_refinements)
     _records([rep], args.format)
     return 0 if rep.verified else 1
@@ -274,7 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = argparse.ArgumentParser(prog="conjlab", description=__doc__)
-    p.add_argument("--version", action="version", version=_BANNER)
+    p.add_argument(
+        "--version",
+        action=_Banner,
+        nargs=0,
+        default=argparse.SUPPRESS,
+        help="show program's version number and exit",
+    )
     groups = p.add_subparsers(dest="group", required=True)
 
     # collatz
@@ -286,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--hi", type=int, required=True)
     c.add_argument("--budget", type=int, required=True)
     c.add_argument("--floor", type=int, default=None, help="pre-verified cutoff")
-    c.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE)
+    c.add_argument("--chunk-size", type=int, default=None)
     c.add_argument("--workers", type=int, default=1)
     c.set_defaults(func=_cmd_collatz_verify)
 

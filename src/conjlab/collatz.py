@@ -40,8 +40,9 @@ and ``_descend`` for promoted iterates and a block's last few starts),
 ``total_stopping_time`` (steps to 1 with the running maximum),
 ``_parities`` (the parity bits of up to k iterates, for ``parity`` and
 ``stochastic``) and ``_t_vec`` (one step over an integer array, for the
-sweep, the residue table and ``parity.bijection_check``).  The three scalar loops stay apart because
-each extra duty slows the others' hot paths (2-vCPU Xeon, Python 3.11,
+sweep, the residue table, ``parity.bijection_check`` and the lanes of
+``stochastic.empirical_parity_frequency``).  The three scalar loops
+stay apart because each extra duty slows the others' hot paths (2-vCPU Xeon, Python 3.11,
 median of 7): recording parities in ``_follow_py`` made 65536 starts
 from 2^62 followed to their first descent 44% slower; collecting the
 iterates and taking ``v & 1`` afterwards made ``_parities`` on

@@ -193,7 +193,8 @@ def _block_best(lo: int, sums: np.ndarray, expo: float) -> tuple[float, int]:
     if not sums.size:
         return 0.0, 0
     ns = np.arange(lo, lo + sums.size, dtype=np.float64)
-    stats = np.abs(sums).astype(np.float64) / ns**expo
+    with np.errstate(over="ignore"):  # n^expo = inf: the term is far below n = 3's
+        stats = np.abs(sums).astype(np.float64) / ns**expo
     i = int(np.argmax(stats))
     return float(stats[i]), lo + i
 
@@ -203,6 +204,13 @@ def _fold_growth(blocks, limit: int, epsilon: float) -> GrowthReport:
     if not epsilon >= 0.0:  # also rejects NaN
         raise ValueError("epsilon must be non-negative")
     expo = 0.5 + epsilon
+    try:
+        3.0**expo
+    except OverflowError:  # finite epsilon only: at inf every term is exactly 0
+        raise ValueError(
+            f"epsilon {epsilon!r} too large: 3^(1/2 + epsilon) overflows a float, "
+            "so the supremum, at n = 3, cannot be represented"
+        ) from None
     best = 0.0
     best_n = 0
     for lo, sums in blocks:

@@ -10,10 +10,12 @@ callers, ``collatz.verify_range`` and ``mobius.random_walk_compare``,
 are where threads measurably beat a serial loop; every other ``workers``
 parameter is only checked.
 
+Importing the package loads no module, this one included; a CLI child
+loads this one (and numpy) only through a module its subcommand runs.
 ``numpy.random`` loads on the first ``substream`` call and
-``concurrent.futures`` on the first threaded ``_pmap``, so importing the
-package (and every subcommand that draws no numbers and starts no thread)
-pays for neither: about 6.6 MiB of peak memory and 20 ms (2-vCPU Xeon).
+``concurrent.futures`` on the first threaded ``_pmap``, so every
+subcommand that draws no numbers and starts no thread pays for neither:
+about 6.6 MiB of peak memory and 20 ms (2-vCPU Xeon).
 """
 
 import numpy as np

@@ -11,8 +11,9 @@ which is the heuristic reason orbits should descend.  ``heuristic_walk``
 simulates that model exactly (only the count of up-moves matters for
 every reported statistic, so each trial draws one binomial);
 ``empirical_parity_frequency`` measures how close actual orbit parities
-come to the fair-coin assumption, reading them from ``collatz``'s scalar
-parity loop.
+come to the fair-coin assumption, stepping the starts as uint64 lanes
+with ``collatz``'s array step and handing any lane that outgrows them to
+its scalar parity loop.
 """
 
 import math
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collatz import _parities
+from .collatz import _U64_GUARD, _parities, _t_vec
 from .rng import _check_workers, substream
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
 
 _LOG_UP = math.log(3.0 / 2.0)
 _LOG_DOWN = math.log(1.0 / 2.0)
+_LANES = 1 << 16  # starts per block of uint64 lanes
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,12 @@ def empirical_parity_frequency(lo: int, count: int, k: int) -> float:
 
     A start's contribution truncates once its orbit hits 1 (the start
     itself always counts), so the tail of fixed points never dilutes the
-    estimate.  Python integers throughout; iterates may exceed 64 bits.
+    estimate.  Starts run as uint64 lanes, 2^16 at a time: each step
+    counts the odd lanes and drops those that reached 1.  A lane whose
+    value could overflow ``3*v + 1``, or whose start already could,
+    finishes in Python integers, so iterates may exceed 64 bits.  Odd
+    and total are exact integer counts, so the fraction is bit for bit
+    the pure-Python one.
     """
     if lo < 1:
         raise ValueError("lo must be a positive integer")
@@ -121,9 +128,33 @@ def empirical_parity_frequency(lo: int, count: int, k: int) -> float:
     if k < 1:
         raise ValueError("k must be at least 1")
     odd = total = 0
-    for n in range(lo, lo + count):
-        # start 1 is the only orbit through 1: it counts 1 and T(1) = 2
-        bits = _parities(n, k, 2) if n > 1 else [1, 0][:k]
+
+    def finish(v: int, steps: int) -> None:
+        nonlocal odd, total
+        bits = _parities(v, steps, 2)
         odd += sum(bits)
         total += len(bits)
+
+    hi = lo + count
+    if lo == 1:
+        # start 1 is the only orbit through 1: it counts 1 and T(1) = 2
+        odd, total = 1, min(k, 2)
+        lo += 1
+    for n in range(max(lo, _U64_GUARD + 1), hi):
+        finish(n, k)
+    guard = np.uint64(_U64_GUARD)
+    for a in range(lo, min(hi, _U64_GUARD + 1), _LANES):
+        v = np.arange(min(_LANES, hi - a, _U64_GUARD + 1 - a), dtype=np.uint64)
+        v += np.uint64(a)
+        for i in range(k):
+            if (up := v > guard).any():
+                for x in v[up].tolist():
+                    finish(x, k - i)
+                v = v[~up]
+            total += v.size
+            bits, v = _t_vec(v)
+            odd += np.count_nonzero(bits)
+            v = v[v > 1]
+            if not v.size:
+                break
     return odd / total

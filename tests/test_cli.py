@@ -1,10 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from conjlab import cli
+from conjlab import cli, mobius
 
 _CMD = [sys.executable, "-m", "conjlab.cli"]
 
@@ -20,6 +21,78 @@ def test_version_banner():
     assert r.returncode == 0
     assert "twopart-gamma+lz77/m16" in r.stdout
     assert "C2" in r.stdout
+
+
+BANNER = (
+    "conjlab 0.1.0 (estimator=twopart-gamma+lz77/m16; "
+    "riemann-siegel-correction=C2; theta-series=t^-3)\n"
+)
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_version_banner_is_one_line_at_any_width(columns):
+    r = subprocess.run(
+        _CMD + ["--version"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "COLUMNS": columns},
+    )
+    assert r.returncode == 0
+    assert r.stdout == BANNER
+    assert r.stderr == ""
+
+
+def _child(code: str, env=None) -> str:
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
+def test_import_conjlab_loads_no_module_and_no_numpy():
+    code = (
+        "import sys, conjlab; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith(('numpy.', 'conjlab.'))))"
+    )
+    assert _child(code) == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        (
+            ["walk", "empirical", "--lo", "1099511627776", "--count", "100", "--k", "64"],
+            ["cli", "collatz", "rng", "stochastic"],
+        ),
+        (["walk", "simulate", "--trials", "3", "--steps", "10"], ["cli", "collatz", "rng", "stochastic"]),
+        (["zeta", "z", "--t", "100"], ["cli", "zeta"]),
+        (["mertens", "growth", "--limit", "1000", "--epsilon", "0"], ["cli", "mobius", "rng"]),
+        (["mertens", "compare", "--limit", "1000", "--trials", "2"], ["cli", "mobius", "rng"]),
+    ],
+    ids=lambda a: " ".join(a[:2]),
+)
+def test_a_subcommand_loads_only_its_own_modules(argv, loaded):
+    code = (
+        "import contextlib, io, sys, conjlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert conjlab.cli.main({argv!r}) == 0\n"
+        "print(sorted(m[8:] for m in sys.modules if m.startswith('conjlab.')))\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    assert _child(code) == f"{sorted(loaded)}\n{'zeta' in loaded}\n"
+
+
+def test_cli_pins_openblas_to_one_thread_unless_the_user_set_it():
+    code = (
+        "import os, sys, conjlab.cli; "
+        "assert 'numpy' not in sys.modules; "
+        "print(os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    assert _child(code, env) == "1\n"
+    assert _child(code, {**env, "OPENBLAS_NUM_THREADS": "3"}) == "3\n"
 
 
 def test_collatz_verify_summary():
@@ -757,8 +830,9 @@ def test_mertens_sieves_only_as_far_as_printed(argv, sieved, monkeypatch, capsys
 
         return wrapper
 
-    monkeypatch.setattr(cli, "mobius_sieve", recording(cli.mobius_sieve))
-    monkeypatch.setattr(cli, "mertens", recording(cli.mertens))
+    # each handler looks its library names up in the module when it runs
+    monkeypatch.setattr(mobius, "mobius_sieve", recording(mobius.mobius_sieve))
+    monkeypatch.setattr(mobius, "mertens", recording(mobius.mertens))
     assert cli.main(argv) == 0
     assert limits == [sieved]
     assert capsys.readouterr().err == ""
@@ -835,6 +909,27 @@ def test_mertens_growth_nan_epsilon_exits_2():
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr == "error: epsilon must be non-negative\n"
+
+
+def test_mertens_growth_epsilon_past_float_range_exits_2_quietly():
+    r = run("mertens", "growth", "--limit", 200000, "--epsilon", 1000)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: epsilon 1000.0 too large:")
+    assert r.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "epsilon,out",
+    [
+        ("50", "50.0,8.0422327278822955e-25,3\n"),
+        ("600", "600.0,3.080963411729999e-287,3\n"),
+        ("inf", "inf,0.0,2\n"),
+    ],
+)
+def test_mertens_growth_large_epsilon_prints_no_warning(epsilon, out, capsys):
+    assert cli.main(["mertens", "growth", "--limit", "200000", "--epsilon", epsilon]) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 def test_mertens_sieve_negative_head_exits_2():

@@ -292,6 +292,14 @@ def test_streamed_growth_holds_no_table(monkeypatch):
     assert r == GrowthReport(epsilon=0.0, sup_statistic=2 / math.sqrt(5), argmax_n=5)
 
 
+def test_growth_rejects_epsilon_whose_supremum_is_past_float_range():
+    # 3^(1/2 + 1000) overflows, so the supremum at n = 3 underflows to 0
+    with pytest.raises(ValueError, match="^epsilon 1000.0 too large"):
+        growth_statistic(mertens(100), 1000.0)
+    with pytest.raises(ValueError, match="^epsilon 1000.0 too large"):
+        conjlab.mobius._growth_stream(100, 1000.0)
+
+
 @pytest.mark.parametrize("epsilon", [float("nan"), -0.01, float("-inf")])
 def test_growth_rejects_nan_and_negative_epsilon(epsilon):
     with pytest.raises(ValueError, match="^epsilon must be non-negative$"):

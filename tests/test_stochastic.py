@@ -4,6 +4,7 @@ import threading
 import pytest
 
 import conjlab.stochastic as stochastic
+from conjlab.collatz import _U64_GUARD
 from conjlab.mobius import random_walk_compare
 from conjlab.parity import random_fraction
 from conjlab.rng import _pmap, substream
@@ -194,6 +195,24 @@ def _pooled_parity_reference(lo, count, k):
 def test_empirical_parity_frequency_matches_reference_loop(lo, count):
     for k in (1, 2, 3, 17, 64):
         assert empirical_parity_frequency(lo, count, k) == _pooled_parity_reference(lo, count, k)
+
+
+@pytest.mark.parametrize(
+    "lo,count,k",
+    [
+        (1, 300, 200),
+        (2**40, 200, 64),
+        (2**40, 1, 40),  # reaches 1 at step 40
+        (2**40, 1, 41),
+        (2**62, 500, 100),  # lanes that leave mid-orbit
+        ((2 * _U64_GUARD + 1) // 3, 1, 10),  # steps onto _U64_GUARD + 1
+        (_U64_GUARD - 40, 80, 60),  # starts on both sides of the guard
+        (2**64 - 50, 100, 70),  # every start past the guard
+        (1, 2**16 + 5, 12),  # more than one block of lanes
+    ],
+)
+def test_empirical_parity_frequency_lanes_match_reference_loop(lo, count, k):
+    assert empirical_parity_frequency(lo, count, k) == _pooled_parity_reference(lo, count, k)
 
 
 def test_heuristic_walk_runs_every_trial_on_the_calling_thread(monkeypatch):
