@@ -17,11 +17,11 @@ the growth statistic sup |M(n)| / n^(1/2+eps) over 2 <= n <= limit
 memory does not grow with the limit.  Boundedness of that statistic for
 every eps > 0 is equivalent to the Riemann hypothesis; comparing it
 against the same statistic for genuine +-1 random walks of matching
-length shows how unusually tame M is.  Each walk is drawn and scanned in
-blocks of 2^16 steps with a carried position; Philox gives the same
-draws however a stream is split, so the blocks change no result.  A
-block whose bound (max |M| / lo^(1/2+eps), max |W| / sqrt(lo)) cannot
-beat the best so far is skipped.
+length shows how unusually tame M is.  Each walk is drawn in blocks of
+2^16 steps with a carried position and goes through the same fold as M;
+Philox gives the same draws however a stream is split, so the blocks
+change no result.  The fold skips a block whose bound
+max |value| / lo^(1/2+eps) cannot beat the best so far.
 """
 
 import functools
@@ -151,6 +151,7 @@ def mobius_segments(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
 
 def mobius_sieve(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> MobiusTable:
     """Table of mu(1..limit)."""
+    _validate_limit(limit)
     values = np.zeros(limit + 1, dtype=np.int8)
     for lo, mu in mobius_segments(limit, segment_size):
         values[lo : lo + mu.size] = mu
@@ -246,25 +247,21 @@ def _walk_statistic(seed: int, index: int, length: int, block: int = _BLOCK) -> 
     """(sup over 2 <= j <= length of |W(j)| / sqrt(j), W(length)) for the +-1
     walk W on stream (seed, index), drawn ``block`` steps at a time."""
     gen = substream(seed, index)
-    best = 0.0
     pos = 0
-    for lo in range(1, length + 1, block):  # this block holds W(lo), W(lo + 1), ...
-        # the same next_uint32 per step as int64 draws
-        w = gen.integers(0, 2, size=min(block, length + 1 - lo), dtype=np.int32)
-        w *= 2
-        w -= 1
-        np.cumsum(w, out=w)
-        w += pos
-        pos = int(w[-1])
-        first = max(lo, 2)
-        tail = w[first - lo :]
-        # exact: sqrt and division are monotone
-        if not tail.size or max(tail.max(), -tail.min()) / np.sqrt(first) <= best:
-            continue
-        stats = np.sqrt(np.arange(first, lo + w.size, dtype=np.float64))
-        np.divide(np.abs(tail, out=tail), stats, out=stats)
-        best = max(best, float(stats.max()))
-    return best, pos
+
+    def blocks():
+        nonlocal pos
+        for lo in range(1, length + 1, block):  # this block holds W(lo), W(lo + 1), ...
+            # the same next_uint32 per step as int64 draws
+            w = gen.integers(0, 2, size=min(block, length + 1 - lo), dtype=np.int32)
+            w *= 2
+            w -= 1
+            np.cumsum(w, out=w)
+            w += pos
+            pos = int(w[-1])
+            yield lo, w
+
+    return _fold_growth(blocks(), length, 0.0).sup_statistic, pos
 
 
 def random_walk_compare(

@@ -154,9 +154,10 @@ def bijection_check(k: int) -> bool:
     """Exhaustively confirm that extraction maps {1, ..., 2^k} onto {0,1}^k.
 
     Vectorized in blocks of 2^14 residues, whose int64 temporaries stay
-    in cache, each writing its codes into one array over all 2^k; k is
-    capped to keep that array in memory and iterates inside int64 (max
-    growth 3^k).
+    in cache; each block marks its codes in one bool array over all 2^k,
+    and 2^k residues reach 2^k codes one-to-one exactly when every code
+    is marked.  k is capped to keep that array in memory and iterates
+    inside int64 (max growth 3^k).
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -165,15 +166,15 @@ def bijection_check(k: int) -> bool:
     if k == 0:
         return True  # both sides are singletons
     n, block = 1 << k, 1 << 14
-    codes = np.zeros(n, dtype=np.int64)
+    hit = np.zeros(n, dtype=bool)
     for a in range(0, n, block):
-        c = codes[a : a + block]  # a view: the block's codes land in place
-        v = np.arange(a + 1, a + c.size + 1, dtype=np.int64)
+        v = np.arange(a + 1, min(a + block, n) + 1, dtype=np.int64)
+        codes = np.zeros_like(v)
         for i in range(k):
             b, v = _t_vec(v)
-            c |= b << i
-    codes.sort()
-    return bool(np.array_equal(codes, np.arange(n, dtype=np.int64)))
+            codes |= b << i
+        hit[codes] = True
+    return bool(hit.all())
 
 
 def _gamma_len(m: int) -> int:

@@ -53,12 +53,6 @@ class WalkSummary:
     std_error: float
     fraction_descended: float
 
-    def csv_line(self) -> str:
-        return (
-            f"{self.trials},{self.steps},{self.mean_step_drift!r},"
-            f"{self.std_error!r},{self.fraction_descended!r}"
-        )
-
 
 def expected_step_drift(p_odd: float = 0.5) -> float:
     """Model drift per step; (1/2) log(3/4) for fair parities."""

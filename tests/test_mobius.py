@@ -79,6 +79,14 @@ def test_mobius_validation():
         list(mobius_segments(10, 0))
 
 
+@pytest.mark.parametrize(
+    "limit,message", [(-5, "positive integer"), (2**45, "must not exceed 2147483647")]
+)
+def test_mobius_sieve_validates_before_it_allocates(limit, message):
+    with pytest.raises(ValueError, match=message):
+        mobius_sieve(limit)
+
+
 def test_squarefree_count():
     assert mobius_sieve(10).squarefree_count() == 7
     # 6 / pi^2 density, loose window

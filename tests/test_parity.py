@@ -1,3 +1,4 @@
+import itertools
 import threading
 
 import numpy as np
@@ -106,6 +107,27 @@ def test_bijection_check():
 def test_bijection_check_across_residue_blocks(k):
     # residues go in blocks of 2^14: k <= 13 fills part of one, k >= 15 several
     assert bijection_check(k) is True
+
+
+@pytest.mark.parametrize("k", [1, 8, 15])
+def test_bijection_check_says_no_when_every_parity_bit_is_zero(k, monkeypatch):
+    monkeypatch.setattr(parity, "_t_vec", lambda v: (np.zeros_like(v), v))
+    assert bijection_check(k) is False
+
+
+@pytest.mark.parametrize("k", [1, 8, 15])
+def test_bijection_check_says_no_on_one_collision(k, monkeypatch):
+    # flip only residue 2's first bit: its code becomes another residue's
+    t_vec, calls = parity._t_vec, itertools.count()
+
+    def flipped(v):
+        b, w = t_vec(v)
+        if next(calls) % k == 0:  # k steps per block of residues: the first
+            b[v == 2] ^= 1
+        return b, w
+
+    monkeypatch.setattr(parity, "_t_vec", flipped)
+    assert bijection_check(k) is False
 
 
 def test_estimator_alternating_megabit():

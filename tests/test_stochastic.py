@@ -85,14 +85,6 @@ def test_walk_drift_near_model():
     assert s.fraction_descended > 0.99
 
 
-def test_walk_csv_line():
-    s = heuristic_walk(WalkConfig(trials=5, steps=100, seed=9))
-    parts = s.csv_line().split(",")
-    assert len(parts) == 5
-    assert parts[0] == "5" and parts[1] == "100"
-    assert float(parts[2]) == s.mean_step_drift
-
-
 @pytest.mark.parametrize(
     "lo,count,k,freq",
     [
