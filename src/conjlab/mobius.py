@@ -87,8 +87,6 @@ class WalkComparison:
 
 
 def _base_primes(n: int) -> list[int]:
-    if n < 2:
-        return []
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, isqrt(n) + 1):

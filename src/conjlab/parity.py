@@ -163,8 +163,6 @@ def bijection_check(k: int) -> bool:
         raise ValueError("k must be non-negative")
     if k > _BIJECTION_K_MAX:
         raise ValueError(f"k > {_BIJECTION_K_MAX} not supported by the exhaustive check")
-    if k == 0:
-        return True  # both sides are singletons
     n, block = 1 << k, 1 << 14
     hit = np.zeros(n, dtype=bool)
     for a in range(0, n, block):
@@ -329,7 +327,7 @@ def random_fraction(
     _check_workers(workers)
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if threshold is None:
-        threshold = estimator_overhead(k)
+    overhead = estimator_overhead(k)  # rejects k < 0 before any draw
+    threshold = overhead if threshold is None else threshold
     hits = sum(_sample_deficient(k, seed, i, threshold) for i in range(samples))
     return hits / samples

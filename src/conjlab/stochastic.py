@@ -130,10 +130,6 @@ def empirical_parity_frequency(lo: int, count: int, k: int) -> float:
         total += len(bits)
 
     hi = lo + count
-    if lo == 1:
-        # start 1 is the only orbit through 1: it counts 1 and T(1) = 2
-        odd, total = 1, min(k, 2)
-        lo += 1
     for n in range(max(lo, _U64_GUARD + 1), hi):
         finish(n, k)
     guard = np.uint64(_U64_GUARD)

@@ -7,9 +7,10 @@ is enveloping, so for t >= 10 the tail is below twice its first omitted
 term).
 
 Z(t) = exp(i theta(t)) zeta(1/2 + it) is real with |Z| = |zeta| on the
-critical line, so each sign change of Z brackets a zero.  The brackets
-are bisected in lockstep, one z_values call per halving step for all of
-them.  With tau = sqrt(t/2pi), m = floor(tau), p = tau - m, z = 2p - 1,
+critical line, so each sign change of Z brackets a zero.  The scan's
+brackets are bisected in lockstep from the scan's own Z values at their
+ends, one z_values call per halving step for all of them.  With
+tau = sqrt(t/2pi), m = floor(tau), p = tau - m, z = 2p - 1,
 
     Z(t) ~= 2 sum_{n<=m} cos(theta(t) - t log n) / sqrt(n)
             + (-1)^(m-1) tau^(-1/2)
@@ -259,8 +260,8 @@ def sign_changes(t_lo: float, t_hi: float, grid_step: float) -> list[ZeroBracket
     lower bound on the number of zeros of Z in (t_lo, t_hi); a grid
     coarser than the local zero spacing undercounts, never overcounts.
     """
-    ts, _, flips = _sign_flips(t_lo, t_hi, grid_step)
-    return [ZeroBracket(t_lo=float(ts[i]), t_hi=float(ts[i + 1])) for i in np.flatnonzero(flips)]
+    ts, _, at = _sign_flips(t_lo, t_hi, grid_step)
+    return [ZeroBracket(t_lo=float(ts[i]), t_hi=float(ts[i + 1])) for i in at]
 
 
 def _check_step(grid_step: float) -> None:
@@ -271,8 +272,8 @@ def _check_step(grid_step: float) -> None:
 def _sign_flips(
     t_lo: float, t_hi: float, grid_step: float, known: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid ts of ``sign_changes``, Z on it, and a mask, true at i
-    where Z changes sign on [ts[i], ts[i + 1]].
+    """The grid ts of ``sign_changes``, Z on it, and the indices i at
+    which Z changes sign on [ts[i], ts[i + 1]].
 
     An abscissa equal bit for bit to one in ``known``, the (ts, zv) of an
     earlier call, keeps that call's value, as Z depends on t alone; the
@@ -296,18 +297,12 @@ def _sign_flips(
         zv[at[hit]] = known[1][hit]
     fresh = np.isnan(zv)  # Z is finite wherever it is defined
     zv[fresh] = z_values(ts[fresh])
-    return ts, zv, zv[:-1] * zv[1:] < 0.0
+    return ts, zv, np.flatnonzero(zv[:-1] * zv[1:] < 0.0)
 
 
-def _bisect(brackets: list[ZeroBracket], tol: float) -> list[float]:
-    if not brackets:
-        return []
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    lo, hi = np.array([(b.t_lo, b.t_hi) for b in brackets], dtype=np.float64).T
-    f_lo, f_hi = np.split(z_values(np.concatenate([lo, hi])), 2)
-    if not (f_lo * f_hi < 0.0).all():
-        raise ValueError("bracket endpoints must have opposite Z signs")
+def _bisect(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, tol: float) -> list[float]:
+    # halves the brackets [lo, hi] in place, where Z is f_lo at lo and has
+    # the other sign at hi, in lockstep to width tol: one z_values call a step
     live = np.flatnonzero(hi - lo > tol)
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
@@ -327,7 +322,15 @@ def refine_zero(bracket: ZeroBracket, tol: float = 1e-9) -> float:
     ``tol`` bounds the width of the final bracket, not the distance to the
     true zero; see ``zeros_in``.
     """
-    return _bisect([bracket], tol)[0]
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if not bracket.t_lo < bracket.t_hi:
+        raise ValueError("bracket must have t_lo < t_hi")
+    ends = np.array([bracket.t_lo, bracket.t_hi], dtype=np.float64)
+    f = z_values(ends)
+    if not f[0] * f[1] < 0.0:
+        raise ValueError("bracket endpoints must have opposite Z signs")
+    return _bisect(ends[:1], ends[1:], f[:1], tol)[0]
 
 
 def zeros_in(
@@ -335,13 +338,17 @@ def zeros_in(
 ) -> list[float]:
     """Scanned zeros of [t_lo, t_hi]; one z_values call per lockstep halving step.
 
-    Each ordinate is the midpoint of a bracket bisected to width ``tol``.
+    Each ordinate is the midpoint of a bracket of ``sign_changes`` bisected
+    to width ``tol``, starting from the scan's own Z values at its ends.
     ``tol`` bounds that width, not the distance to the true zero, which is
     set by Z's error bound over |Z'| there: for ``zeros_in(10, 60)`` the
     first zero is 9.8e-5 from mpmath's ``zetazero(1)`` (Z's bound is
     2.9e-4 at t = 14.1), the other twelve 1e-6 to 2e-5 from theirs.
     """
-    return _bisect(sign_changes(t_lo, t_hi, grid_step), tol)
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    ts, zv, at = _sign_flips(t_lo, t_hi, grid_step)
+    return _bisect(ts[at], ts[at + 1], zv[at], tol)
 
 
 def zero_count_analytic(T: float) -> int:
@@ -385,9 +392,9 @@ def verify_rh(
     step_now = grid_step
     known = None
     for attempt in range(max_refinements + 1):
-        ts, zv, flips = _sign_flips(T_MIN, T, step_now, known)
+        ts, zv, at = _sign_flips(T_MIN, T, step_now, known)
         known = ts, zv
-        found = int(np.count_nonzero(flips))
+        found = at.size
         if found >= count:
             break
         if attempt < max_refinements:

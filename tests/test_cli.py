@@ -327,6 +327,13 @@ def test_domain_errors_exit_2(args):
     assert r.stdout == ""
 
 
+def test_parity_fraction_negative_k_exits_2():
+    r = run("parity", "fraction", "--k", -3, "--samples", 4, "--threshold", 5)
+    assert r.returncode == 2
+    assert "k must be non-negative" in r.stderr
+    assert r.stdout == ""
+
+
 def test_usage_errors_exit_2():
     assert run("collatz", "verify", "--lo", 1).returncode == 2
     assert run("nonsense").returncode == 2

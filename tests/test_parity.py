@@ -212,6 +212,12 @@ def test_random_fraction_validation():
         random_fraction(64, 0, seed=1)
 
 
+def test_random_fraction_rejects_negative_k_before_drawing(monkeypatch):
+    monkeypatch.setattr(parity, "substream", None)  # any draw would raise TypeError
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        random_fraction(-3, 4, 0, threshold=5)
+
+
 def test_parity_vector_matches_reference_exhaustive_and_wide():
     starts = list(range(1, 301)) + [2**64 - 1, 2**64 + 1, 2**70 + 5, 3**50]
     for n in starts:

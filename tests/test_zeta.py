@@ -176,8 +176,22 @@ def test_refine_zero_matches_scalar_bisection(bracket):
 def test_zeros_in_one_z_call_per_halving_step(z_calls):
     zs = zeros_in(10.0, 60.0, 0.05, 1e-9)
     assert len(zs) == 13
-    # one scan, one call for all bracket ends, then one per halving step
-    assert len(z_calls) <= 3 + math.ceil(math.log2(0.05 / 1e-9))
+    # one scan, then one call per halving step; the bracket ends come from the scan
+    assert len(z_calls) <= 1 + math.ceil(math.log2(0.05 / 1e-9))
+
+
+def test_zeros_in_evaluates_each_abscissa_once(monkeypatch):
+    seen = []
+
+    def recording(ts):
+        seen.append(np.array(ts, dtype=np.float64).ravel())
+        return z_values(ts)
+
+    monkeypatch.setattr(zeta, "z_values", recording)
+    assert len(zeros_in(10.0, 60.0, 0.05, 1e-9)) == 13
+    points = np.concatenate(seen)
+    assert (len(seen), points.size) == (27, 1339)
+    assert np.unique(points).size == points.size
 
 
 def test_zeros_in_without_sign_change_does_not_bisect(z_calls):
@@ -191,16 +205,23 @@ def test_refine_zero_checks_tol_before_evaluating(z_calls):
     assert z_calls == []
 
 
-def test_mixed_batch_raises_without_bisecting(monkeypatch, z_calls):
-    batch = [ZeroBracket(14.0, 14.2), ZeroBracket(15.0, 16.0)]
-    monkeypatch.setattr(zeta, "sign_changes", lambda *args: batch)
+def test_same_sign_bracket_raises_without_bisecting(z_calls):
     with pytest.raises(ValueError, match="opposite"):
-        zeros_in(10.0, 30.0)
-    assert z_calls == [4]  # the bracket ends only
+        refine_zero(ZeroBracket(15.0, 16.0))
+    assert z_calls == [2]  # the bracket ends only
+
+
+@pytest.mark.parametrize("bracket", [ZeroBracket(14.2, 14.0), ZeroBracket(14.1, 14.1)])
+def test_refine_zero_rejects_unordered_bracket_before_evaluating(bracket, z_calls):
+    with pytest.raises(ValueError, match="tol"):
+        refine_zero(bracket, tol=0.0)
+    with pytest.raises(ValueError, match="t_lo < t_hi"):
+        refine_zero(bracket, tol=1e-9)
+    assert z_calls == []
 
 
 def test_exact_zero_midpoint_is_returned_while_others_bisect(monkeypatch):
-    hit, other = ZeroBracket(14.0, 14.2), ZeroBracket(20.9, 21.1)
+    hit, *others = sign_changes(10.0, 30.0, 0.05)
     mid = 0.5 * (hit.t_lo + hit.t_hi)
     widths = []
 
@@ -209,9 +230,10 @@ def test_exact_zero_midpoint_is_returned_while_others_bisect(monkeypatch):
         return np.where(ts == mid, 0.0, z_values(ts))
 
     monkeypatch.setattr(zeta, "z_values", zero_at_mid)
-    monkeypatch.setattr(zeta, "sign_changes", lambda *args: [hit, other])
-    assert zeros_in(10.0, 30.0, tol=1e-6) == [mid, _refine_zero_scalar(other, 1e-6)]
-    assert widths[:3] == [4, 2, 1]  # the bracket at the exact zero drops out
+    expected = [mid] + [_refine_zero_scalar(b, 1e-6) for b in others]
+    assert zeros_in(10.0, 30.0, tol=1e-6) == expected
+    # the scan, then all three brackets; the one at the exact zero drops out
+    assert widths[:3] == [401, 3, 2]
 
 
 def test_zeros_in_first_three():
