@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collatz import _parities, _t_vec
-from .rng import _check_workers, substream
+from .rng import _check_seed, _check_workers, _draws, substream
 
 __all__ = [
     "ParityVector",
@@ -302,7 +302,7 @@ def description_length_estimate(x) -> CompressibilityScore:
 
 
 def _sample_deficient(k: int, seed: int, index: int, threshold: int) -> bool:
-    bits = substream(seed, index).integers(0, 2, size=k, dtype=np.uint8)
+    bits = _draws(substream(seed, index).bit_generator.random_raw(-(-k // 64)), k)
     return k - _estimate_bits(bits) < threshold
 
 
@@ -318,12 +318,14 @@ def random_fraction(
     below ``threshold`` (default: the estimator's own overhead, the
     tightest bound it can certify on nothing).
 
-    Sample i always draws from stream (seed, i), so the fraction is
+    Sample i is the first k bits of the raw Philox words of stream
+    (seed, i), bit i of word j as bit 64j + i, so the fraction is
     reproducible for a fixed seed.  ``workers`` is accepted and checked,
     but not used: the samples run serially, because each is a short
     Python loop that holds the interpreter lock, and threads made the
     whole run slower, not faster.
     """
+    _check_seed(seed)
     _check_workers(workers)
     if samples < 1:
         raise ValueError("samples must be at least 1")

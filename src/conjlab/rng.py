@@ -1,14 +1,14 @@
 """Deterministic random-stream construction shared by the stochastic helpers.
 
 Every randomized routine in this package draws from a counter-based Philox
-generator keyed by ``(seed, index)``.  Streams for distinct indices are
-statistically independent and, crucially, do not depend on the order in
-which they are created or consumed, so results are identical no matter how
-work is split across workers.  ``_pmap`` is the one place work is split;
-it yields each result in task order as soon as it is ready.  Its two
-callers, ``collatz.verify_range`` and ``mobius.random_walk_compare``,
-are where threads measurably beat a serial loop; every other ``workers``
-parameter is only checked.
+generator keyed by ``(seed, index)``, so results do not depend on how work
+is split across workers.  Walks and parity vectors are its raw
+Philox4x64-10 words (``random_raw``, which NEP 19 keeps stable across numpy
+versions): bit i of word j is draw 64j + i on every machine.
+``stochastic.heuristic_walk`` still draws ``binomial``, whose stream may
+change with numpy.  ``_pmap`` is the one place work is split, yielding
+results in task order; its one caller, ``collatz.verify_range``, is where
+threads beat a serial loop, and every other ``workers`` is only checked.
 
 Importing the package loads no module, this one included; a CLI child
 loads this one (and numpy) only through a module its subcommand runs.
@@ -26,6 +26,17 @@ __all__ = ["substream"]
 def substream(seed: int, index: int) -> "np.random.Generator":
     """Return the Philox generator for logical stream ``index`` under ``seed``."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, index])))
+
+
+def _draws(words: np.ndarray, count: int | None = None) -> np.ndarray:
+    """The first ``count`` (default: all) draws of raw uint64 ``words`` as
+    uint8 0 or 1: bit i of word j is draw 64j + i on every machine."""
+    return np.unpackbits(words.astype("<u8").view(np.uint8), count=count, bitorder="little")
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def _check_workers(workers: int) -> None:

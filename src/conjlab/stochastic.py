@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collatz import _U64_GUARD, _parities, _t_vec
-from .rng import _check_workers, substream
+from .rng import _check_seed, _check_workers, substream
 
 __all__ = [
     "WalkConfig",
@@ -74,6 +74,12 @@ def heuristic_walk(config: WalkConfig, *, workers: int = 1) -> WalkSummary:
     ``workers`` is checked but unused: a trial is one Philox setup and one
     binomial draw, about 25 us of Python holding the GIL, and 10,000
     trials took 0.25 s serially against 1.5 s on 2 threads (2-vCPU Xeon).
+
+    Unlike the walks of ``mobius`` and the vectors of ``parity``, a trial
+    is not defined by raw Philox words: counting the up-moves in them
+    would cost O(steps) per trial where ``binomial`` costs O(1), and would
+    slow ``walk simulate --steps 1000000``.  So this stream depends on
+    numpy's ``binomial`` and may change with the numpy version.
     """
     if config.trials < 1:
         raise ValueError("trials must be at least 1")
@@ -81,6 +87,7 @@ def heuristic_walk(config: WalkConfig, *, workers: int = 1) -> WalkSummary:
         raise ValueError("steps must be non-negative")
     if not 0.0 <= config.p_odd <= 1.0:
         raise ValueError("p_odd must lie in [0, 1]")
+    _check_seed(config.seed)
     _check_workers(workers)
     if config.steps == 0:
         return WalkSummary(

@@ -314,6 +314,9 @@ def test_jsonl_format():
         ("mertens", "sieve", "--limit", 0),
         ("mertens", "growth", "--limit", 100, "--epsilon", -1.0),
         ("mertens", "compare", "--limit", 1, "--trials", 5),
+        ("mertens", "compare", "--limit", 10**8, "--trials", 20, "--seed", -1),
+        ("parity", "fraction", "--k", 8, "--samples", 4, "--seed", -1),
+        ("walk", "simulate", "--trials", 5, "--steps", 0, "--seed", -1),
         ("zeta", "theta", "--t", 5.0),
         ("zeta", "z", "--t", 9.9),
         ("zeta", "scan", "--lo", 30.0, "--hi", 10.0),
@@ -617,12 +620,12 @@ _GOLDEN = [
     (
         ("mertens", "compare", "--limit", 2000, "--trials", 1, "--seed", 3),
         0,
-        "2000,1,1215,0.8944271909999159,2.1572774865200244,0.0,31.0,0.0\n",
+        "2000,1,1215,0.8944271909999159,2.949371997684065,0.0,-19.0,0.0\n",
         (
             '{"n": 2000, "trials": 1, "walk_length": 1215, '
             '"mertens_statistic": 0.8944271909999159, '
-            '"walk_mean_statistic": 2.1572774865200244, "percentile_rank": 0.0, '
-            '"mean_final_position": 31.0, "final_position_sem": 0.0}\n'
+            '"walk_mean_statistic": 2.949371997684065, "percentile_rank": 0.0, '
+            '"mean_final_position": -19.0, "final_position_sem": 0.0}\n'
         ),
         "",
     ),
@@ -633,14 +636,14 @@ _GOLDEN = [
         ),
         0,
         (
-            "500,4,306,0.8944271909999159,2.354614290784699,0.0,-8.0,"
-            "10.708252269472673\n"
+            "500,4,306,0.8944271909999159,1.6589379857516389,0.0,5.0,"
+            "4.203173404306164\n"
         ),
         (
             '{"n": 500, "trials": 4, "walk_length": 306, '
             '"mertens_statistic": 0.8944271909999159, '
-            '"walk_mean_statistic": 2.354614290784699, "percentile_rank": 0.0, '
-            '"mean_final_position": -8.0, "final_position_sem": 10.708252269472673}\n'
+            '"walk_mean_statistic": 1.6589379857516389, "percentile_rank": 0.0, '
+            '"mean_final_position": 5.0, "final_position_sem": 4.203173404306164}\n'
         ),
         "",
     ),

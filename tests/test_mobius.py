@@ -17,6 +17,7 @@ from conjlab.mobius import (
 )
 
 from em_zeta import mertens_direct, mobius_direct
+from philox_reference import stream_words
 
 _FIRST_TEN = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
@@ -317,32 +318,140 @@ def test_growth_rejects_nan_and_negative_epsilon(epsilon):
 
 
 def test_philox_bits_do_not_depend_on_the_split():
-    n = 10**6 + 3
-    whole = conjlab.mobius.substream(11, 5).integers(0, 2, size=n, dtype=np.int64)
-    for sizes in ([1 << 16] * (n >> 16) + [n % (1 << 16)], [1, 3, 65_537, 7, n - 65_548]):
-        gen = conjlab.mobius.substream(11, 5)
-        parts = [gen.integers(0, 2, size=s, dtype=np.int64) for s in sizes]
+    n = 10**4 + 3
+    whole = conjlab.mobius.substream(11, 5).bit_generator.random_raw(n)
+    for sizes in ([1 << 10] * (n >> 10) + [n % (1 << 10)], [1, 3, 4097, 7, n - 4108]):
+        gen = conjlab.mobius.substream(11, 5).bit_generator
+        parts = [gen.random_raw(s) for s in sizes]
         assert np.array_equal(np.concatenate(parts), whole)
 
 
-def _walk_reference(seed, index, length):
-    # one draw of the whole walk, as before walks were drawn in blocks
-    gen = conjlab.mobius.substream(seed, index)
-    steps = gen.integers(0, 2, size=length, dtype=np.int64) * 2 - 1
-    w = steps.cumsum()
-    return float(np.max(np.abs(w[1:]) / np.sqrt(np.arange(2, length + 1)))), int(w[-1])
+def _every_step_walk(words, length):
+    # bit i of word j is step 64j + i, by shifts rather than a byte view;
+    # every j >= 2 folded at once, no word skipped
+    w = np.array(words, dtype=np.uint64)
+    bits = (w[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    walk = (bits.ravel()[:length].astype(np.int64) * 2 - 1).cumsum()
+    return float(np.max(np.abs(walk[1:]) / np.sqrt(np.arange(2, length + 1)))), int(walk[-1])
 
 
-@pytest.mark.parametrize("length", [2, 3, 2**16 - 1, 2**16 + 1])
+def _oracle_walk(seed, index, length):
+    return _every_step_walk(stream_words(seed, index, -(-length // 64)), length)
+
+
+@pytest.mark.parametrize("length", [2, 3, 63, 64, 65, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1])
 def test_walk_statistic_does_not_depend_on_the_block(length):
-    for index in range(3):
-        ref = _walk_reference(7, index, length)
-        blocks = (1, 2, 7, 1000, 2**16) if length < 8 else (7, 1000, 2**16, length + 5)
-        for block in blocks:
-            assert conjlab.mobius._walk_statistic(7, index, length, block) == ref
+    for seed, index in ((7, 0), (7, 1), (7, 2), (401, 19), (2**63, 2**40)):
+        ref = _oracle_walk(seed, index, length)
+        for block in (1, 2, 7, 1000, 2**13):
+            assert conjlab.mobius._walk_statistic(seed, index, length, block) == ref
 
 
-# --- the signed-product sieve, the block bounds, int32 walk draws -----------
+def test_walk_statistic_equals_every_step_fold_at_the_bench_length():
+    for index in range(20):
+        got = conjlab.mobius._walk_statistic(401, index, 607926)
+        assert got == _oracle_walk(401, index, 607926)
+
+
+class _Words:
+    """Stands in for ``substream``: serves fixed words through ``random_raw``."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, n):
+        out, self.words = self.words[:n].copy(), self.words[n:]
+        return out
+
+
+def _pack(steps):
+    # +-1 steps to words, step 64j + i as bit i of word j
+    bits = [(s + 1) // 2 for s in steps] + [0] * (-len(steps) % 64)
+    return [sum(b << i for i, b in enumerate(bits[j : j + 64])) for j in range(0, len(bits), 64)]
+
+
+def _late_sup_steps():
+    # W wobbles between 1 and 0, then climbs 300 steps and falls 20 inside
+    # the last words: the sup sits inside a word, past every earlier block
+    return [1, -1] * 2**15 + [1] * 300 + [-1] * 20 + [1, -1] * 37
+
+
+def _first_step_sup_steps():
+    # straight up for 4 words, one more step up, then down: the sup sits on
+    # the first step of word 4, where the word's bound (|a| + |b| + s) / 2
+    # is tight, and only just above the end of word 3
+    return [1] * 257 + [-1] * 63 + [1, -1] * 100
+
+
+def _tie_steps():
+    # |W(j)| / sqrt(j) = 1 exactly at j = 4, 16, ..., 4096 (W = 2, -4, 8, ...)
+    # and below 1 elsewhere: wobble at W, then run straight to the next target
+    steps, w, j = [1, -1, 1, 1], 2, 4
+    for k, target in [(16, -4), (64, 8), (256, -16), (1024, 32), (4096, -64)]:
+        run = abs(target - w)
+        toward_zero = -1 if w > 0 else 1
+        steps += [toward_zero, -toward_zero] * ((k - j - run) // 2)
+        steps += [1 if target > w else -1] * run
+        w, j = target, k
+    return steps + [1, -1] * 450
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [_late_sup_steps(), _first_step_sup_steps(), _tie_steps()],
+    ids=["late-sup", "first-step-sup", "ties"],
+)
+@pytest.mark.parametrize("block", [1, 3, 2**13])
+def test_walk_statistic_keeps_a_late_sup_and_exact_ties(steps, block, monkeypatch):
+    words = _pack(steps)
+    walk = np.cumsum(steps)
+    ref = (float(np.max(np.abs(walk[1:]) / np.sqrt(np.arange(2, walk.size + 1)))), int(walk[-1]))
+    assert _every_step_walk(words, len(steps)) == ref
+    monkeypatch.setattr(conjlab.mobius, "substream", lambda seed, index: _Words(words))
+    assert conjlab.mobius._walk_statistic(0, 0, len(steps), block) == ref
+
+
+def test_late_sup_and_ties_are_what_they_say():
+    late = np.cumsum(_late_sup_steps())
+    stats = np.abs(late[1:]) / np.sqrt(np.arange(2, late.size + 1))
+    assert int(np.argmax(stats)) + 2 == 2**16 + 300
+    assert (2**16 + 300) % 64 and late.size % 64  # inside a word; a masked last word
+    peak = np.cumsum(_first_step_sup_steps())
+    assert int(np.argmax(peak[1:] / np.sqrt(np.arange(2, peak.size + 1)))) + 2 == 4 * 64 + 1
+    ties = np.cumsum(_tie_steps())
+    stats = np.abs(ties[1:]) / np.sqrt(np.arange(2, ties.size + 1))
+    assert stats.max() == 1.0
+    assert (np.flatnonzero(stats == 1.0) + 2).tolist() == [4, 16, 64, 256, 1024, 4096]
+
+
+def test_skipping_words_changes_no_walk_statistic(monkeypatch):
+    # the words folded are a few of the 9499; the result is the every-step one
+    folded = []
+    fold = conjlab.mobius._fold_growth
+
+    def counting(blocks, limit, epsilon):
+        blocks = list(blocks)
+        folded.append(sum(-(-sums.size // 64) for _, sums in blocks))
+        return fold(iter(blocks), limit, epsilon)
+
+    monkeypatch.setattr(conjlab.mobius, "_fold_growth", counting)
+    for index in range(20):
+        got = conjlab.mobius._walk_statistic(401, index, 607926)
+        assert got == _oracle_walk(401, index, 607926)
+    assert len(folded) == 20
+    assert 0 < min(folded) and max(folded) < 9499 // 50
+
+
+def test_popcount_counts_every_bit():
+    words = [0, 1, 2**63, 2**64 - 1, 0x5555555555555555, 0xF0F0F0F0F0F0F0F0]
+    words += stream_words(3, 1, 200)
+    got = conjlab.mobius._popcount(np.array(words, dtype=np.uint64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [bin(w).count("1") for w in words]
+
+
+# --- the signed-product sieve, the block bounds ----------------------------
 
 _WHEEL = 44100  # 2^2 3^2 5^2 7^2, the period of the 2, 3, 5, 7 pattern
 
@@ -443,11 +552,6 @@ def test_block_bound_keeps_late_maxima_and_the_first_tie(block):
         for eps in (0.0, 0.01, 2.0):
             got = conjlab.mobius._fold_growth(blocks, sums.size, eps)
             assert got == _growth_reference(sums, eps)
-
-
-def test_walk_statistic_equals_int64_draws_at_the_bench_length():
-    for index in range(20):
-        assert conjlab.mobius._walk_statistic(401, index, 607926) == _walk_reference(401, index, 607926)
 
 
 def test_importing_the_cli_builds_no_wheel():

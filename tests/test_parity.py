@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 from lz_reference import lz_cost_reference
+from philox_reference import stream_bits
 
 from conjlab import parity
 from conjlab.parity import (
@@ -205,6 +206,21 @@ def test_random_fraction_reproducible():
 def test_random_fraction_degenerate_threshold():
     # every 8-bit vector is literal-coded, deficiency is always negative
     assert random_fraction(8, 256, seed=3, threshold=0) == 1.0
+
+
+@pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 4096])
+def test_random_fraction_samples_raw_philox_bits(k, monkeypatch):
+    # sample i is the first k draws of stream (seed, i), bit i of word j as draw 64j + i
+    seen = []
+    estimate = parity._estimate_bits
+
+    def spy(bits):
+        seen.append(bits.tolist())
+        return estimate(bits)
+
+    monkeypatch.setattr(parity, "_estimate_bits", spy)
+    random_fraction(k, 3, seed=501)
+    assert seen == [stream_bits(501, i, k) for i in range(3)]
 
 
 def test_random_fraction_validation():
