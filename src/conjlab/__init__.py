@@ -15,8 +15,8 @@ randomness flows through per-task Philox streams keyed by (seed, index),
 so results never depend on worker count or scheduling.
 
 Importing the package loads none of its modules, and so not numpy.  A
-module loads on first use (``conjlab.zeta``, ``from conjlab import
-zeta``); the first exported name looked up here (``conjlab.verify_range``,
+module, ``cli`` included, loads on first use (``conjlab.zeta``, ``from
+conjlab import zeta``); the first exported name looked up here (``conjlab.verify_range``,
 ``__all__``, ``from conjlab import *``) loads them all and binds their
 exports, as the eager package did.  A CLI child therefore pays only for
 the modules its subcommand runs.
@@ -41,7 +41,7 @@ def _bind_all() -> None:
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
+    if name in (*_MODULES, "cli"):
         return importlib.import_module(f"{__name__}.{name}")
     _bind_all()
     if name in globals():

@@ -52,7 +52,6 @@ and ran 3-6% slower on n in [2, 5*10^4].
 """
 
 import functools
-import json
 import time
 from dataclasses import asdict, dataclass
 
@@ -145,6 +144,8 @@ class VerificationReport:
         that vary with machine load and block layout, and the serialized
         report is required to be identical however the range was split.
         """
+        import json
+
         doc = asdict(self)
         keys = ("lo", "hi", "verified_count", "max_stopping_time_seen", "counterexample_candidates")
         return json.dumps({k: doc[k] for k in keys})

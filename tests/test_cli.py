@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -341,6 +342,101 @@ def test_usage_errors_exit_2():
     assert run("collatz", "verify", "--lo", 1).returncode == 2
     assert run("nonsense").returncode == 2
     assert run("zeta", "unknowncmd").returncode == 2
+
+
+# The entry point's outcomes, byte for byte: (argv, exit code, stdout, stderr).
+_ENTRY = [
+    (("zeta", "verify", "--T", 100, "--step", 0.05), 0, "100.0,29,29,true,0.05\n", ""),
+    (
+        ("zeta", "verify", "--T", 30, "--max-refinements", 1),
+        1,
+        "30.0,3,4,false,0.025\n",
+        "warning: theta(30.0)/pi + 1 = 3.564877 is within 0.3 of a half-integer; "
+        "the rounded count may be off by one\n",
+    ),
+    (("collatz", "verify", "--lo", 5, "--hi", 1, "--budget", 10), 2, "", "error: range is empty: hi < lo\n"),
+    (
+        ("zeta", "theta"),
+        2,
+        "",
+        "usage: conjlab zeta theta [-h] [--format {csv,jsonl}] --t T\n"
+        "conjlab zeta theta: error: the following arguments are required: --t\n",
+    ),
+    (("--version",), 0, BANNER, ""),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", _ENTRY, ids=[" ".join(map(str, e[0][:2])) for e in _ENTRY])
+def test_entry_point_streams_and_status(argv, code, out, err):
+    r = subprocess.run(
+        _CMD + [str(a) for a in argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "COLUMNS": "80"},
+    )
+    assert (r.returncode, r.stdout, r.stderr) == (code, out, err)
+
+
+def test_entry_point_help_is_the_full_parsers(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    r = subprocess.run(_CMD + ["--help"], capture_output=True, text=True, timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (0, cli.build_parser().format_help(), "")
+
+
+def _help_and_errors(argv, parse, capsys):
+    try:
+        parse(argv)
+    except SystemExit as e:
+        return e.code, *capsys.readouterr()
+    raise AssertionError(f"{argv} did not exit")
+
+
+def test_help_and_usage_errors_equal_the_full_parsers(capsys):
+    # main builds only the invoked group's subcommands; every help and usage
+    # text must equal that of the parser built with every group
+    full = cli.build_parser()
+    (groups,) = (a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+    cases = [["-h"], [], ["nonsense"]]
+    for name, group in groups.choices.items():
+        cases += [[name, "-h"], [name], [name, "nonsense"]]
+        (commands,) = (a for a in group._actions if isinstance(a, argparse._SubParsersAction))
+        cases += [[name, command, "-h"] for command in commands.choices]
+    assert len(cases) == 3 + 5 * 3 + 20
+    for argv in cases:
+        got = _help_and_errors(argv, cli.main, capsys)
+        assert got == _help_and_errors(argv, cli.build_parser().parse_args, capsys), argv
+        assert got[0] in (0, 2) and got[1] + got[2]
+
+
+def test_from_conjlab_import_cli_loads_no_library_module():
+    code = (
+        "import sys; from conjlab import cli; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith(('numpy.', 'conjlab.'))))"
+    )
+    assert _child(code) == "['conjlab.cli']\n"
+
+
+def test_a_closed_pipe_ends_quietly_with_status_1():
+    # 1.3 MB of output cannot fit the pipe, so the child is still writing
+    # when the reader closes after one line
+    proc = subprocess.Popen(
+        _CMD + ["mertens", "sieve", "--limit", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"1,1\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
+def test_an_unexpected_exception_keeps_its_traceback():
+    code = "import conjlab.cli as c; c.main = lambda: 1 / 0; c.console_main()"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("Traceback") and r.stderr.endswith("ZeroDivisionError: division by zero\n")
 
 
 def test_repeat_runs_byte_identical():

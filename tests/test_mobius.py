@@ -17,7 +17,7 @@ from conjlab.mobius import (
 )
 
 from em_zeta import mertens_direct, mobius_direct
-from philox_reference import stream_words
+from philox_reference import stream_bits, stream_words
 
 _FIRST_TEN = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
@@ -538,8 +538,13 @@ def test_block_bound_changes_no_growth_report(limit, monkeypatch):
 def test_block_bound_keeps_late_maxima_and_the_first_tie(block):
     # a +-1 walk in place of M, whose sup lies past its first blocks; exact
     # ties |M(n)| / sqrt(n) = 1 at n = 4, 16, 64, ...; and a sup at the
-    # start of a block that the block's last n would bound away
-    walk = np.cumsum(conjlab.mobius.substream(19, 0).integers(0, 2, size=300_000) * 2 - 1)
+    # start of a block that the block's last n would bound away.  The walk
+    # takes raw Philox bits for n <= 2^16 and steps up after: there
+    # |W(n)| / sqrt(n) <= sqrt(n) <= 256, while W(300000) >= 300000 - 2^17
+    # gives more than 308, so the sup lies past 2^16 whatever the bits.
+    steps = np.ones(300_000, dtype=np.int64)
+    steps[: 2**16] = np.array(stream_bits(19, 0, 2**16)) * 2 - 1
+    walk = np.cumsum(steps)
     ties = np.zeros(5000, dtype=np.int64)
     ties[[3, 15, 63, 255, 1023, 4095]] = [2, -4, 8, -16, 32, -64]
     spike = np.zeros(200_000, dtype=np.int64)
