@@ -22,7 +22,12 @@ block of starts is resolved, in ascending order, once its descent ends:
 a start's total is its own steps plus the total of the start it links
 to, so every reported count is still the exact total stopping time
 (steps to the floor, when one is given), and no start ever links to one
-that is not yet resolved.  Only the totals span the whole range.
+that is not yet resolved.  The step onto a link target is a halving, so
+the target of n lies in [n/2, n), and the totals are kept only from half
+the current block upward, in int16 with the rare wider one in a dict:
+about 1 byte per start of a sweep from 1, 2 when lo is large against the
+range.  ``conjlab collatz verify --lo 1 --hi 30000000 --budget 100000``
+peaks at 63 MiB, where whole-range int32 totals took it to 156 MiB.
 
 The sweep is exact integer arithmetic throughout.  Starts that fit in
 64 bits are advanced in vectorized numpy blocks; any iterate that could
@@ -71,6 +76,13 @@ __all__ = [
     "VerificationReport",
 ]
 
+# Starts per block: one phase-1 task, resolved at once in phase 2.  The
+# block's steps and links (16 B per start) and phase 2's temporaries are
+# the sweep's fixed working set, about 3 MiB at 2^16; the totals window
+# adds about 1 B per start of the range (1..3*10^7 through the CLI: 63 MiB,
+# 156 MiB with whole-range int32 totals).  Smaller blocks are slower, since
+# each runs its own straggler loop and Python tail: 1..10^7 took 1.45 s at
+# 2^13 against 1.06 s at 2^16 (2-vCPU Xeon, medians of 5).
 DEFAULT_CHUNK_SIZE = 1 << 16
 
 # Largest v for which 3*v + 1 cannot wrap a uint64.
@@ -85,8 +97,19 @@ _JUMP_MASK = (1 << _JUMP_BITS) - 1
 _JUMP_LIMIT = 2**80 // 3**16
 # Step counts saturate here; no orbit a sweep can follow takes 2^61 steps.
 _CAP = 2**61
-# Blocks this small continue in Python ints, cheaper than a numpy step.
+# Blocks this small continue in Python ints.  One numpy step of the loop
+# costs 10-20 us up to a few hundred live lanes, and a Python-int step
+# about 0.11 us per lane, so per step numpy pays only from 110-170 lanes
+# on; but a tail of 128 was no faster than 64 at the default chunk size
+# (from 1 or from 2^62), and gained only at chunk sizes of 97 and 256
+# (2-vCPU Xeon, Python 3.11).
 _PY_TAIL = 64
+# Sweep totals are stored in int16; from this value up they are kept in a dict.
+_WIDE = 2**15 - 1
+# The first descent of a block runs this many starts at a time, so its
+# temporaries do not grow with the block.  At 2^13 one worker ran as fast,
+# but two lost their gain on 1..10^7 (1.13 s against 0.97 s at 2^14).
+_SUB = 1 << 14
 
 
 def step(n: int) -> int:
@@ -237,26 +260,27 @@ def _residue_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     T^j(n) = 3^a * 2^(16-j) * q + T^j(r) with a the odd steps among them.
     Per residue: j, the first step with 3^a < 2^j (16 if there is none),
     the coefficient 3^a * 2^(16-j), and T^j(r).  Every iterate before j
-    exceeds n, because 3^a > 2^i there.  Built on first use.
+    exceeds n, because 3^a > 2^i there.  Built on first use, in narrow
+    dtypes: T^i(r) < 3^16 keeps 3v + 1 inside uint32, and a <= j <= 16.
     """
-    r = np.arange(1 << _JUMP_BITS, dtype=np.int64)
-    v = r.copy()
-    odd_steps = np.zeros(r.size, dtype=np.int64)
-    pow3 = 3 ** np.arange(_JUMP_BITS + 1)
-    first = np.full(r.size, _JUMP_BITS, dtype=np.int64)
-    coef = np.zeros(r.size, dtype=np.int64)
-    t_r = np.zeros(r.size, dtype=np.int64)
-    open_ = np.ones(r.size, dtype=bool)
+    v = np.arange(1 << _JUMP_BITS, dtype=np.uint32)
+    odd_steps = np.zeros(v.size, dtype=np.uint8)
+    pow3 = 3 ** np.arange(_JUMP_BITS + 1, dtype=np.uint64)
+    first = np.full(v.size, _JUMP_BITS, dtype=np.uint8)
+    coef = np.zeros(v.size, dtype=np.uint64)
+    t_r = np.zeros(v.size, dtype=np.uint64)
+    open_ = np.ones(v.size, dtype=bool)
     for i in range(1, _JUMP_BITS + 1):
         odd, v = _t_vec(v)
         odd_steps += odd
+        # 3^a < 2^i exactly when a is below the count of such powers;
         # residues still open after the last step keep j = 16
-        hit = open_ & (pow3[odd_steps] < 2**i) if i < _JUMP_BITS else open_
+        hit = open_ & (odd_steps < np.count_nonzero(pow3 < 2**i)) if i < _JUMP_BITS else open_
         first[hit] = i
-        coef[hit] = pow3[odd_steps[hit]] << (_JUMP_BITS - i)
+        coef[hit] = pow3[odd_steps[hit]] << np.uint64(_JUMP_BITS - i)
         t_r[hit] = v[hit]
         open_ &= ~hit
-    table = first, coef.astype(np.uint64), t_r.astype(np.uint64)
+    table = first, coef, t_r
     for column in table:
         column.setflags(write=False)  # one cached copy serves every sweep
     return table
@@ -278,8 +302,12 @@ def _descend(
     last): int64 arrays over ``offs`` of the steps taken and v - lo (-1 for
     a root), and a dict keyed by i.  A start that exhausts the budget first
     gets ``steps[i] = _cap(budget)``, link -1, and its iterate after
-    ``budget`` steps in ``last[i]``.  ``offs`` is ascending.  Below
-    ``_JUMP_LIMIT`` the first up-to-16 steps are one residue-table lookup.
+    ``budget`` steps in ``last[i]``.  ``offs`` is ascending.
+
+    The first descent is taken ``_SUB`` starts at a time: below
+    ``_JUMP_LIMIT`` the first up-to-16 steps are one residue-table lookup,
+    and the root, link and budget checks run once on the result, so only
+    the few survivors (about 3% from 1) go on together to the numpy loop.
     Blocks that reach 2^63 and the last few starts of a block continue in
     Python ints.  An iterate that could overflow uint64 leaves the block
     only until ``_follow_py`` has brought it back under the guard (or
@@ -289,24 +317,52 @@ def _descend(
     steps = np.full(offs.size, _cap(budget), dtype=np.int64)
     link = np.full(offs.size, -1, dtype=np.int64)
     last: dict[int, int] = {}
-    tail: list[tuple[int, int, int, int]] = []  # (i, iterate, steps, threshold)
-    n = offs.astype(np.uint64) + np.uint64(min(a, _U64_MAX_START))
-    pos = np.arange(n.size)
-    if a + int(offs[-1]) >= _U64_MAX_START:
-        tail = [(i, a + o, 0, max(a + o, exit_floor)) for i, o in enumerate(offs.tolist())]
-        n, pos = n[:0], pos[:0]
     # floors and link bounds above the uint64 range act as if infinite
     ef = np.uint64(min(exit_floor, _U64_MAX_START))
     lo_u = np.uint64(min(lo, _U64_MAX_START))
-    thr = np.maximum(n, ef)
-    v, k0 = n, np.zeros(n.size, dtype=np.int64)
-    if a < _JUMP_LIMIT:
-        first, coef, t_r = _residue_table()
-        r = n & np.uint64(_JUMP_MASK)
-        j = first[r]
-        jump = (n >= ef) & (n < np.uint64(_JUMP_LIMIT)) & (j <= budget)
-        v = np.where(jump, coef[r] * (n >> np.uint64(_JUMP_BITS)) + t_r[r], n)
-        k0 = np.where(jump, j, 0)
+
+    def settle(v, thr, k0, pos, k, k_max, leave):
+        # of the lanes under their threshold (``leave`` is v < thr), record
+        # those at a root or a link, and those out of budget after k more
+        # steps (k_max bounds k0 + k); return the others
+        d = np.flatnonzero(leave)
+        if d.size:
+            vd = v[d]
+            root = vd < ef
+            fin = root | (vd >= lo_u)
+            # fell below the sweep: follow the orbit down to the floor
+            thr[d[~fin]] = ef
+            leave[d] = fin
+            f = d[fin]
+            steps[pos[f]] = k0[f] + k
+            link[pos[f]] = np.where(root[fin], -1, (vd[fin] - lo_u).astype(np.int64))
+        if k_max >= budget:
+            # steps and link keep their fill, _cap(budget) and -1
+            out = (k0 + k >= budget) & ~leave
+            last.update(zip(pos[out].tolist(), v[out].tolist()))
+            leave |= out
+        keep = ~leave
+        return v[keep], thr[keep], k0[keep], pos[keep]
+
+    tail: list[tuple[int, int, int, int]] = []  # (i, iterate, steps, threshold)
+    live = []
+    if a + int(offs[-1]) >= _U64_MAX_START:
+        tail = [(i, a + o, 0, max(a + o, exit_floor)) for i, o in enumerate(offs.tolist())]
+    else:
+        for s in range(0, offs.size, _SUB):
+            n = offs[s : s + _SUB].astype(np.uint64) + np.uint64(a)
+            v, k0 = n, np.zeros(n.size, dtype=np.int64)
+            if a < _JUMP_LIMIT:
+                first, coef, t_r = _residue_table()
+                r = n & np.uint64(_JUMP_MASK)
+                j = first[r]
+                jump = (n >= ef) & (n < np.uint64(_JUMP_LIMIT)) & (j <= budget)
+                v = np.where(jump, coef[r] * (n >> np.uint64(_JUMP_BITS)) + t_r[r], n)
+                k0 = np.where(jump, j, 0).astype(np.int64)
+                del r, j, jump
+            thr = np.maximum(n, ef)
+            live.append(settle(v, thr, k0, np.arange(s, s + n.size), 0, int(k0.max()), v < thr))
+    v, thr, k0, pos = map(np.concatenate, zip(*live)) if live else (offs[:0],) * 4
     guard = np.uint64(_U64_GUARD)
     k0_max = int(k0.max(initial=0))
     k = 0
@@ -332,25 +388,8 @@ def _descend(
                 pos = np.concatenate((pos, np.array(i, dtype=pos.dtype)))
                 k0_max = max(k0_max, max(s))
         leave = v < thr
-        if leave.any():
-            d = np.flatnonzero(leave)
-            vd = v[d]
-            root = vd < ef
-            fin = root | (vd >= lo_u)
-            # fell below the sweep: follow the orbit down to the floor
-            thr[d[~fin]] = ef
-            leave[d] = fin
-            f = d[fin]
-            steps[pos[f]] = k0[f] + k
-            link[pos[f]] = np.where(root[fin], -1, (vd[fin] - lo_u).astype(np.int64))
-        if k + k0_max >= budget:
-            # steps and link keep their fill, _cap(budget) and -1
-            out = (k0 + k >= budget) & ~leave
-            last.update(zip(pos[out].tolist(), v[out].tolist()))
-            leave |= out
-        if leave.any():
-            keep = ~leave
-            v, thr, k0, pos = v[keep], thr[keep], k0[keep], pos[keep]
+        if leave.any() or k + k0_max >= budget:
+            v, thr, k0, pos = settle(v, thr, k0, pos, k, k + k0_max, leave)
         if v.size <= _PY_TAIL:
             # too few left for numpy to pay: Python ints to the end
             tail += zip(pos.tolist(), v.tolist(), (k0 + k).tolist(), thr.tolist())
@@ -371,24 +410,68 @@ def _descend(
     return steps, link, last
 
 
+class _Totals:
+    """Exact totals of a sliding window of starts: int16, wider ones in a dict.
+
+    The step onto a start's link target is a halving, so the target of n
+    lies in [n/2, n), and resolving the chunk at a reads totals only from
+    max(lo, a // 2) on.  The window keeps those and the chunk itself, and
+    moves its live part to the front only when the next chunk would not
+    fit.  Index i stands for the start lo + i.  A total of ``_WIDE`` or
+    more is stored as ``_WIDE`` and kept exactly in ``wide``.
+    """
+
+    def __init__(self, lo: int, chunks: list[tuple[int, int]]):
+        self.lo = lo
+        self.base = 0  # index held in buf[0]
+        self.buf = np.empty(max(b + 1 - max(lo, a // 2) for a, b in chunks), dtype=np.int16)
+        self.wide: dict[int, int] = {}
+
+    def slide(self, a: int, b: int) -> None:
+        """Keep the starts from max(lo, a // 2) to a - 1; make room up to b."""
+        w, a = max(self.lo, a // 2) - self.lo, a - self.lo
+        if b + 1 - self.lo - self.base > self.buf.size:
+            # a one-dimensional forward copy: numpy moves it in place
+            self.buf[: a - w] = self.buf[w - self.base : a - self.base]
+            self.base = w
+            self.wide = {i: t for i, t in self.wide.items() if i >= w}
+
+    def take(self, idx: np.ndarray) -> np.ndarray:
+        """Totals at the indices ``idx``, which it overwrites: int16, or
+        int64 when one of them is wide."""
+        idx -= self.base
+        t = self.buf[idx]
+        wide = np.flatnonzero(t == _WIDE)
+        if wide.size:
+            t = t.astype(np.int64)
+            t[wide] = [self.wide[i] for i in (idx[wide] + self.base).tolist()]
+        return t
+
+    def put(self, i: int, total: np.ndarray) -> None:
+        """Store the totals from index i on."""
+        self.buf[i - self.base : i - self.base + total.size] = np.minimum(total, _WIDE)
+        wide = np.flatnonzero(total >= _WIDE)
+        self.wide.update(zip((wide + i).tolist(), total[wide].tolist()))
+
+
 def _resolve_chunk(
-    a: int, lo: int, budget: int, exit_floor: int, total, tgt, totals
+    a: int, lo: int, budget: int, exit_floor: int, total, tgt, totals: _Totals
 ) -> tuple[int, int, list[CandidateRecord]]:
     """Phase 2: turn the chunk's steps from a on into total stopping times.
 
     ``total`` and ``tgt`` are the chunk's steps and links from
-    ``_descend``; ``total`` is summed in place and copied into ``totals``,
-    which indexes every start from lo and must hold each start before a
-    already.  A start's total is its own steps plus its link target's
-    total; a total over the budget makes the start a candidate, whose
-    last iterate is recomputed with links switched off.  Returns
-    (verified_count, max_steps_among_verified, candidates).
+    ``_descend``; ``total`` is summed in place and stored in ``totals``,
+    which must hold each start from max(lo, a // 2) up to a already.  A
+    start's total is its own steps plus its link target's total; a total
+    over the budget makes the start a candidate, whose last iterate is
+    recomputed with links switched off.  Returns (verified_count,
+    max_steps_among_verified, candidates).
     """
     cap = _cap(budget)
     # links into this chunk wait until their target is resolved
     waiting = tgt >= a - lo
-    earlier = np.flatnonzero(~waiting & (tgt >= 0))
-    total[earlier] += totals[tgt[earlier]]
+    earlier = ~waiting & (tgt >= 0)
+    total[earlier] += totals.take(tgt[earlier])
     np.minimum(total, cap, out=total)
     pending = np.flatnonzero(waiting)
     while pending.size:
@@ -398,7 +481,7 @@ def _resolve_chunk(
         total[idx] = np.minimum(total[idx] + total[t[ready]], cap)
         waiting[idx] = False
         pending = pending[~ready]
-    totals[a - lo : a - lo + total.size] = total
+    totals.put(a - lo, total)
 
     over = np.flatnonzero(total == cap)
     cands = []
@@ -409,9 +492,8 @@ def _resolve_chunk(
             CandidateRecord(n=a + o, steps_taken=budget, last_iterate=last[i])
             for i, o in enumerate(over.tolist())
         ]
-    verified = total.size - over.size
-    max_steps = int(total[total < cap].max()) if verified else -1
-    return verified, max_steps, cands
+    max_steps = int(total.max(initial=-1, where=total < cap))
+    return total.size - over.size, max_steps, cands
 
 
 def verify_range(
@@ -444,13 +526,16 @@ def verify_range(
     not depend on ``workers``.  Phase 1 maps the blocks over ``workers``
     threads, and phase 2 resolves each block in range order as soon as
     its phase 1 is done, while the threads descend later blocks; so the
-    report content is identical for any worker count.  The only array
-    over the whole range holds the totals, 4 bytes per start (8 for
-    budgets of 2^31 - 1 or more).  Only phase 1 runs on threads, and they
-    pay only on wide sweeps: the median for 1..10^7 fell from about 2.0 s
-    at 1 worker to 1.5 s at 2; 1..5*10^5 (about 0.12 s) and 8,192 starts
-    from 2^62 (about 0.085 s, one chunk) took the same time at either
-    count (2-vCPU Xeon, medians of 9).
+    report content is identical for any worker count.  No array spans
+    the range: the totals of [max(lo, a // 2), a + chunk_size) are kept
+    for the block at a, 2 bytes each, which is about 1 byte per start of
+    a sweep from 1; a total of 2^15 - 1 or more is kept exactly in a
+    dict.  ``conjlab collatz verify`` on 1..3*10^7 peaks at 63 MiB, where
+    whole-range int32 totals took it to 156 MiB.  Only phase 1 runs on
+    threads, and they pay only on wide sweeps: the median for 1..10^7 fell
+    from about 1.09 s at 1 worker to 0.94 s at 2; 1..5*10^5 took 0.05 s
+    at 1 and 0.06 s at 2, and 8,192 starts from 2^62 (one chunk) 0.04 s
+    at either (2-vCPU Xeon, medians of 9).
     """
     if lo < 1:
         raise ValueError("lo must be a positive integer")
@@ -468,7 +553,7 @@ def verify_range(
     t0 = time.perf_counter()
 
     chunks = [(a, min(a + chunk_size - 1, hi)) for a in range(lo, hi + 1, chunk_size)]
-    totals = np.empty(hi - lo + 1, dtype=np.int32 if budget + 1 < 2**31 else np.int64)
+    totals = _Totals(lo, chunks)
     if lo < _JUMP_LIMIT:
         _residue_table()  # build once, before workers share it
 
@@ -478,8 +563,11 @@ def verify_range(
     verified = 0
     max_steps = -1
     cands: list[CandidateRecord] = []
-    for (a, _), (steps, link, _) in zip(chunks, _pmap(descend, chunks, workers)):
-        vc, ms, cs = _resolve_chunk(a, lo, budget, exit_floor, steps, link, totals)
+    phase1 = _pmap(descend, chunks, workers)
+    for a, b in chunks:
+        totals.slide(a, b)
+        # no name keeps a resolved chunk's arrays while the next one descends
+        vc, ms, cs = _resolve_chunk(a, lo, budget, exit_floor, *next(phase1)[:2], totals)
         verified += vc
         if ms > max_steps:
             max_steps = ms

@@ -398,8 +398,8 @@ def test_residue_table_not_built_at_import():
 
 
 def test_verify_range_holds_one_array_over_the_range():
-    # one int32 total per start; each chunk's steps and links live only
-    # until phase 2 has resolved that chunk
+    # the int16 totals window is the only array that grows with the range;
+    # each chunk's steps and links live only until phase 2 has resolved it
     import tracemalloc
 
     from conjlab.collatz import _residue_table
@@ -413,6 +413,117 @@ def test_verify_range_holds_one_array_over_the_range():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n
+
+
+@pytest.mark.parametrize("budget", [2**15 - 2, 2**15 - 1, 2**15, 2**15 + 1, 2**31 - 1, 2**61])
+def test_narrow_totals_at_wide_budgets(budget):
+    # caps at and above the int16 range: every total still exact
+    for lo, hi in ((1, 3000), (2**40, 2**40 + 500)):
+        rep = verify_range(lo, hi, budget, chunk_size=256)
+        assert json.loads(rep.to_json()) == _reference_doc(lo, hi, budget)
+
+
+@pytest.mark.parametrize("wide", [5, 38, 59, 60, 61, 62])
+@pytest.mark.parametrize("budget", [38, 59, 60, 61, 2**61])
+def test_wide_totals_kept_exactly(monkeypatch, wide, budget):
+    # with the int16 limit lowered, many totals and budget-out caps go to
+    # the side dict, and links read them back from it
+    from conjlab import collatz
+
+    monkeypatch.setattr(collatz, "_WIDE", wide)
+    ref = _reference_doc(1, 3000, budget)
+    for chunk_size in (97, 4096):
+        for workers in (1, 2):
+            rep = verify_range(1, 3000, budget, chunk_size=chunk_size, workers=workers)
+            assert json.loads(rep.to_json()) == ref
+
+
+def test_link_into_a_budget_out():
+    # 54 halves onto 27, which takes 70 steps: at budget 60 both are candidates
+    rep = verify_range(27, 54, 60, chunk_size=8)
+    cands = {c.n: c for c in rep.counterexample_candidates}
+    assert 27 in cands and 54 in cands
+    assert json.loads(rep.to_json()) == _reference_doc(27, 54, 60)
+    doc = json.loads(verify_range(1, 3000, 60, chunk_size=97).to_json())
+    assert len(doc["counterexample_candidates"]) == 1023
+    assert doc == _reference_doc(1, 3000, 60)
+
+
+@pytest.mark.parametrize("budget", [60, 1000])
+def test_window_slides_over_many_chunks(budget):
+    # chunks of 97 from 1: the totals window moves its live part many times
+    lo, hi = 1, 20000
+    for floor in (None, 5000, 19000):
+        ref = _reference_doc(lo, hi, budget, floor)
+        rep = verify_range(lo, hi, budget, floor, chunk_size=97)
+        assert json.loads(rep.to_json()) == ref
+
+
+@pytest.mark.parametrize("budget", [40, 1000])
+def test_floor_above_lo_with_window(budget):
+    lo, hi = 3000, 9000
+    for floor in (3001, 4500, 9001):
+        rep = verify_range(lo, hi, budget, floor, chunk_size=256)
+        assert json.loads(rep.to_json()) == _reference_doc(lo, hi, budget, floor)
+
+
+def test_high_narrow_range_window_is_the_whole_range():
+    # lo >> hi - lo: max(lo, a // 2) is lo for every chunk
+    from conjlab.collatz import _Totals
+
+    lo = 10**12
+    hi = lo + 3000
+    chunks = [(a, min(a + 255, hi)) for a in range(lo, hi + 1, 256)]
+    assert _Totals(lo, chunks).buf.size == hi - lo + 1
+    rep = verify_range(lo, hi, 300, chunk_size=256)
+    assert json.loads(rep.to_json()) == _reference_doc(lo, hi, 300)
+
+
+@pytest.mark.parametrize("budget", [60, 2**15, 10**5])
+def test_narrow_totals_independent_of_workers(budget):
+    a = verify_range(1, 60000, budget, chunk_size=2048, workers=1).to_json()
+    assert verify_range(1, 60000, budget, chunk_size=2048, workers=2).to_json() == a
+
+
+def test_sweep_working_set_is_about_one_byte_per_start():
+    # deterministic: tracemalloc sees numpy's buffers.  Fixed working set:
+    # a chunk's steps, links and offsets and phase 2's temporaries, under
+    # 56 B per chunk start; then the int16 window over [a/2, a + chunk)
+    import tracemalloc
+
+    from conjlab.collatz import DEFAULT_CHUNK_SIZE, _residue_table
+
+    _residue_table()
+    n = 1 << 20
+    tracemalloc.start()
+    try:
+        verify_range(1, n, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56 * DEFAULT_CHUNK_SIZE + 1.25 * n
+
+
+def test_first_descent_working_set_does_not_grow_with_the_chunk():
+    # beyond the 16 B per start of steps and links it returns, phase 1
+    # holds one 2^14-start sub-block of the first descent and the few
+    # survivors of the others
+    import tracemalloc
+
+    from conjlab.collatz import _descend, _residue_table
+
+    _residue_table()
+    work = {}
+    for chunk_size in (2**14, 2**16):
+        offs = np.arange(chunk_size)
+        tracemalloc.start()
+        try:
+            _descend(1 + 40 * 2**16, offs, 1, 10**5, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        work[chunk_size] = peak - 16 * chunk_size
+    assert work[2**16] < 1.2 * work[2**14]
 
 
 def test_verify_range_rejects_workers_below_one_first():
