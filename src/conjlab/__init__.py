@@ -25,6 +25,11 @@ the modules its subcommand runs.
 import importlib
 
 __version__ = "0.1.0"
+# Identify the estimator and the Z correction in the ``--version`` banner;
+# defined here, beside the version, so the banner loads no module.  They
+# belong to ``parity`` and ``zeta``, which import and export them.
+ESTIMATOR_ID = "twopart-gamma+lz77/m16"
+Z_CORRECTION_ORDER = 2
 
 # in the order of __all__
 _MODULES = ("collatz", "parity", "stochastic", "mobius", "zeta", "rng")

@@ -17,7 +17,7 @@ import os
 import sys
 import warnings
 
-from . import __version__
+from . import ESTIMATOR_ID, Z_CORRECTION_ORDER, __version__
 
 # conjlab makes no BLAS call, and numpy's bundled OpenBLAS spends about
 # 70 ms of CPU building a thread pool as it loads (2-vCPU Xeon).  The pin
@@ -33,12 +33,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 class _Banner(argparse.Action):
     """``--version``: print the banner on one line, whatever the terminal
-    width, and exit.  It is built only when asked for."""
+    width, and exit.  It reads constants of the package itself, so it loads
+    no module and not numpy."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        from .parity import ESTIMATOR_ID
-        from .zeta import Z_CORRECTION_ORDER
-
         print(
             f"conjlab {__version__} "
             f"(estimator={ESTIMATOR_ID}; riemann-siegel-correction=C{Z_CORRECTION_ORDER}; "

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ESTIMATOR_ID
 from .collatz import _parities, _t_vec
 from .rng import _check_seed, _check_workers, _draws, substream
 
@@ -41,8 +42,6 @@ __all__ = [
     "description_length_estimate",
     "random_fraction",
 ]
-
-ESTIMATOR_ID = "twopart-gamma+lz77/m16"
 
 # Self-concatenation slack: estimate(x..x) <= 2 estimate(x) + this, by far.
 # The doubled vector re-derives its second half as one phrase, so the real

@@ -1,14 +1,19 @@
 """Deterministic random-stream construction shared by the stochastic helpers.
 
-Every randomized routine in this package draws from a counter-based Philox
-generator keyed by ``(seed, index)``, so results do not depend on how work
-is split across workers.  Walks and parity vectors are its raw
-Philox4x64-10 words (``random_raw``, which NEP 19 keeps stable across numpy
-versions): bit i of word j is draw 64j + i on every machine.
-``stochastic.heuristic_walk`` still draws ``binomial``, whose stream may
-change with numpy.  ``_pmap`` is the one place work is split, yielding
-results in task order; its one caller, ``collatz.verify_range``, is where
-threads beat a serial loop, and every other ``workers`` is only checked.
+Every randomized routine in this package draws trial or sample ``index``
+from stream (seed, index), so results do not depend on how work is split
+across workers.  Stream (seed, index) is Philox4x64-10 (Salmon, Moraes,
+Dror and Shaw 2011) with key words (seed, index) and a 256-bit counter
+that starts at 0 and is incremented before each block of four 64-bit
+words; bit i of word j is draw 64j + i on every machine, and seeds lie in
+[0, 2^64).  Walks and parity vectors are these raw words (``random_raw``,
+which NEP 19 keeps stable across numpy versions), so any Philox4x64-10
+implementation reproduces them.  ``stochastic.heuristic_walk`` still
+draws ``binomial``, whose stream may change with numpy.
+
+``_pmap`` is the one place work is split, yielding results in task order;
+its one caller, ``collatz.verify_range``, is where threads beat a serial
+loop, and every other ``workers`` is only checked.
 
 Importing the package loads no module, this one included; a CLI child
 loads this one (and numpy) only through a module its subcommand runs.
@@ -24,8 +29,13 @@ __all__ = ["substream"]
 
 
 def substream(seed: int, index: int) -> "np.random.Generator":
-    """Return the Philox generator for logical stream ``index`` under ``seed``."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, index])))
+    """Return a generator over stream (seed, index): Philox4x64-10 with key
+    words (seed, index) and a counter that starts at 0 and is incremented
+    before each block of four words, bit i of word j being draw 64j + i.
+    Both must lie in [0, 2^64)."""
+    if not (0 <= seed < 2**64 and 0 <= index < 2**64):
+        raise ValueError(f"seed and index must lie in [0, 2**64), got ({seed}, {index})")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 def _draws(words: np.ndarray, count: int | None = None) -> np.ndarray:
@@ -37,6 +47,8 @@ def _draws(words: np.ndarray, count: int | None = None) -> np.ndarray:
 def _check_seed(seed: int) -> None:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    if seed >= 2**64:
+        raise ValueError(f"seed must be below 2**64, got {seed}")
 
 
 def _check_workers(workers: int) -> None:

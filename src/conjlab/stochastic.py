@@ -85,6 +85,8 @@ def heuristic_walk(config: WalkConfig, *, workers: int = 1) -> WalkSummary:
         raise ValueError("trials must be at least 1")
     if config.steps < 0:
         raise ValueError("steps must be non-negative")
+    if config.steps >= 2**63:  # binomial takes an int64 count
+        raise ValueError(f"steps must be below 2**63, got {config.steps}")
     if not 0.0 <= config.p_odd <= 1.0:
         raise ValueError("p_odd must lie in [0, 1]")
     _check_seed(config.seed)

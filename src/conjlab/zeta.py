@@ -64,6 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
+from . import Z_CORRECTION_ORDER
+
 __all__ = [
     "T_MIN",
     "Z_CORRECTION_ORDER",
@@ -84,7 +86,6 @@ __all__ = [
 ]
 
 T_MIN = 10.0
-Z_CORRECTION_ORDER = 2
 _TWO_PI = 2.0 * math.pi
 _Z_ERR_COEFF = 0.03
 _Z_T_MAX = 3e4  # _Z_ERR_COEFF is checked against mpmath up to here

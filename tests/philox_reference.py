@@ -32,14 +32,9 @@ def philox_words(key: list[int], counter: int, count: int) -> list[int]:
 
 
 def stream_words(seed: int, index: int, count: int) -> list[int]:
-    """The first ``count`` words of conjlab stream (seed, index), keyed
-    from the state of a fresh ``substream``."""
-    from conjlab.rng import substream
-
-    state = substream(seed, index).bit_generator.state
-    assert state["buffer_pos"] == 4  # nothing buffered: the next word is a new block
-    counter = sum(int(c) << (64 * i) for i, c in enumerate(state["state"]["counter"]))
-    return philox_words([int(k) for k in state["state"]["key"]], counter, count)
+    """The first ``count`` words of conjlab stream (seed, index): key words
+    (seed, index), counter 0."""
+    return philox_words([seed, index], 0, count)
 
 
 def stream_bits(seed: int, index: int, count: int) -> list[int]:

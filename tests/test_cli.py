@@ -60,6 +60,17 @@ def test_import_conjlab_loads_no_module_and_no_numpy():
     assert _child(code) == "[]\n"
 
 
+def test_version_loads_no_module_and_no_numpy():
+    code = (
+        "import contextlib, io, sys, conjlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.suppress(SystemExit):\n"
+        "    conjlab.cli.main(['--version'])\n"
+        "assert out.getvalue().startswith('conjlab '), out.getvalue()\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith(('numpy.', 'conjlab.'))))"
+    )
+    assert _child(code) == "['conjlab.cli']\n"
+
+
 @pytest.mark.parametrize(
     "argv,loaded",
     [
@@ -322,6 +333,10 @@ def test_jsonl_format():
         ("zeta", "z", "--t", 9.9),
         ("zeta", "scan", "--lo", 30.0, "--hi", 10.0),
         ("zeta", "verify", "--T", 13.0),
+        ("mertens", "compare", "--limit", 10**8, "--trials", 20, "--seed", 2**64),
+        ("parity", "fraction", "--k", 8, "--samples", 4, "--seed", 2**64),
+        ("walk", "simulate", "--trials", 5, "--steps", 10, "--seed", 2**70),
+        ("walk", "simulate", "--trials", 2, "--steps", 10**20),
     ],
 )
 def test_domain_errors_exit_2(args):
@@ -594,10 +609,10 @@ _GOLDEN = [
     (
         ("walk", "simulate", "--trials", 4, "--steps", 100, "--seed", 3),
         0,
-        "4,100,-0.18503899705094456,0.04144137777820902,1.0\n",
+        "4,100,-0.07243123746246331,0.03765853195432322,0.75\n",
         (
-            '{"trials": 4, "steps": 100, "mean_step_drift": -0.18503899705094456, '
-            '"std_error": 0.04144137777820902, "fraction_descended": 1.0}\n'
+            '{"trials": 4, "steps": 100, "mean_step_drift": -0.07243123746246331, '
+            '"std_error": 0.03765853195432322, "fraction_descended": 0.75}\n'
         ),
         "",
     ),
@@ -716,12 +731,12 @@ _GOLDEN = [
     (
         ("mertens", "compare", "--limit", 2000, "--trials", 1, "--seed", 3),
         0,
-        "2000,1,1215,0.8944271909999159,2.949371997684065,0.0,-19.0,0.0\n",
+        "2000,1,1215,0.8944271909999159,1.7888543819998317,0.0,-17.0,0.0\n",
         (
             '{"n": 2000, "trials": 1, "walk_length": 1215, '
             '"mertens_statistic": 0.8944271909999159, '
-            '"walk_mean_statistic": 2.949371997684065, "percentile_rank": 0.0, '
-            '"mean_final_position": -19.0, "final_position_sem": 0.0}\n'
+            '"walk_mean_statistic": 1.7888543819998317, "percentile_rank": 0.0, '
+            '"mean_final_position": -17.0, "final_position_sem": 0.0}\n'
         ),
         "",
     ),
@@ -732,14 +747,14 @@ _GOLDEN = [
         ),
         0,
         (
-            "500,4,306,0.8944271909999159,1.6589379857516389,0.0,5.0,"
-            "4.203173404306164\n"
+            "500,4,306,0.8944271909999159,1.9123153542469353,0.0,11.0,"
+            "8.888194417315589\n"
         ),
         (
             '{"n": 500, "trials": 4, "walk_length": 306, '
             '"mertens_statistic": 0.8944271909999159, '
-            '"walk_mean_statistic": 1.6589379857516389, "percentile_rank": 0.0, '
-            '"mean_final_position": 5.0, "final_position_sem": 4.203173404306164}\n'
+            '"walk_mean_statistic": 1.9123153542469353, "percentile_rank": 0.0, '
+            '"mean_final_position": 11.0, "final_position_sem": 8.888194417315589}\n'
         ),
         "",
     ),

@@ -3,12 +3,14 @@ import pytest
 from philox_reference import philox_words, stream_bits, stream_words
 
 import conjlab.mobius
+import conjlab.parity
+import conjlab.stochastic
 from conjlab.mobius import random_walk_compare
 from conjlab.parity import random_fraction
 from conjlab.rng import substream
 from conjlab.stochastic import WalkConfig, heuristic_walk
 
-_KEYS = [(0, 0), (1, 0), (401, 3), (401, 19), (2**63, 7), (5, 2**40)]
+_KEYS = [(0, 0), (1, 0), (401, 3), (401, 19), (2**63, 7), (5, 2**40), (2**64 - 1, 2**64 - 1)]
 
 
 @pytest.mark.parametrize("seed,index", _KEYS)
@@ -42,9 +44,18 @@ def test_stream_bits_read_bit_i_of_word_j_as_draw_64j_plus_i():
     ],
     ids=["random_fraction", "heuristic_walk", "heuristic_walk-no-steps", "random_walk_compare"],
 )
-@pytest.mark.parametrize("seed", [-1, -(2**70)])
-def test_negative_seed_rejected_with_its_value(call, seed):
-    with pytest.raises(ValueError, match=f"^seed must be non-negative, got {seed}$"):
+@pytest.mark.parametrize("seed", [-1, -(2**70), 2**64, 2**70])
+def test_negative_seed_rejected_with_its_value(call, seed, monkeypatch):
+    # seeds of 2**64 or more would alias into the index key word
+    def never(*args, **kwargs):
+        raise AssertionError("sieved or drew")
+
+    for mod in (conjlab.parity, conjlab.stochastic, conjlab.mobius):
+        monkeypatch.setattr(mod, "substream", never)
+    monkeypatch.setattr(conjlab.mobius, "mertens", never)
+    monkeypatch.setattr(conjlab.mobius, "mobius_segments", never)
+    bound = "non-negative" if seed < 0 else r"below 2\*\*64"
+    with pytest.raises(ValueError, match=f"^seed must be {bound}, got {seed}$"):
         call(seed)
 
 
@@ -56,3 +67,20 @@ def test_random_walk_compare_checks_the_seed_before_sieving(monkeypatch):
     monkeypatch.setattr(conjlab.mobius, "mobius_segments", never)
     with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
         random_walk_compare(10**8, 20, -1)
+    for seed in (2**64, 2**70):
+        with pytest.raises(ValueError, match=rf"^seed must be below 2\*\*64, got {seed}$"):
+            random_walk_compare(10**8, 20, seed)
+
+
+def test_the_largest_seed_is_accepted():
+    seed = 2**64 - 1
+    assert 0.0 <= random_fraction(16, 4, seed) <= 1.0
+    assert heuristic_walk(WalkConfig(trials=4, steps=10, seed=seed)).trials == 4
+    assert random_walk_compare(100, 4, seed).trials == 4
+
+
+@pytest.mark.parametrize("seed,index", [(2**64, 0), (0, 2**64), (0, -1), (-1, 0)])
+def test_substream_rejects_key_words_outside_64_bits(seed, index):
+    message = rf"^seed and index must lie in \[0, 2\*\*64\), got \({seed}, {index}\)$"
+    with pytest.raises(ValueError, match=message):
+        substream(seed, index)

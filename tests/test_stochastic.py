@@ -40,6 +40,15 @@ def test_walk_validation():
         heuristic_walk(WalkConfig(trials=5, steps=10, seed=1, p_odd=2.0))
 
 
+def test_walk_steps_past_int64_rejected_before_any_draw(monkeypatch):
+    monkeypatch.setattr(stochastic, "substream", None)  # any draw would raise TypeError
+    for steps in (2**63, 10**20):
+        with pytest.raises(ValueError, match=rf"^steps must be below 2\*\*63, got {steps}$"):
+            heuristic_walk(WalkConfig(trials=2, steps=steps, seed=1))
+    with pytest.raises(ValueError, match="^steps must be non-negative$"):
+        heuristic_walk(WalkConfig(trials=2, steps=-1, seed=1))
+
+
 def test_walk_zero_steps():
     s = heuristic_walk(WalkConfig(trials=7, steps=0, seed=3))
     assert s == WalkSummary(7, 0, 0.0, 0.0, 0.0)
@@ -226,7 +235,7 @@ def test_random_walk_compare_pinned(workers):
     c = random_walk_compare(10**5, 8, seed=4, workers=workers)
     assert c.walk_length == 60794
     assert c.mertens_statistic == 0.8944271909999159
-    assert c.walk_mean_statistic == 2.5759306440924803
+    assert c.walk_mean_statistic == 2.2849547887730663
     assert c.percentile_rank == 0.0
-    assert c.mean_final_position == -19.0
-    assert c.final_position_sem == 83.45486376308024
+    assert c.mean_final_position == -105.0
+    assert c.final_position_sem == 73.74085899767024
