@@ -391,7 +391,7 @@ def _zeta_commands(sub, fmt) -> None:
     c.add_argument("--t", type=float, required=True)
     c.set_defaults(func=_cmd_zeta_theta)
 
-    c = sub.add_parser("z", parents=[fmt], help="Z(t) via main sum + first correction")
+    c = sub.add_parser("z", parents=[fmt], help="Z(t) via main sum + corrections C0 to C2")
     c.add_argument("--t", type=float, required=True)
     c.set_defaults(func=_cmd_zeta_z)
 

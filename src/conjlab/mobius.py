@@ -3,21 +3,27 @@
 mu(n) is computed by trial marking with the primes p up to sqrt(limit):
 one int32 array takes ``*= -p`` on the multiples of p and 0 on those of
 p^2, so it holds the signed product of the distinct base primes of n.
-2, 3, 5 and 7 come from a pattern of period 44100, built on first use.
+2, 3, 5 and 7 come from an int16 pattern of period 44100, built on first
+use and copied into each segment.
 No integer is divided: n has one more prime factor, above sqrt(limit),
 exactly when |product| is still below n, which costs one more sign
-flip, taken in place with no boolean temporaries.  |product| <= n, so
-int32 holds it up to the largest accepted limit, 2^31 - 1.
+flip, taken in place, 2^16 n at a time, with no boolean temporaries.
+|product| <= n, so int32 holds it up to the largest accepted limit,
+2^31 - 1.  A segment thus holds 5 bytes per n: the int32 product and
+the int8 result.
 
 Segments keep the working set small, and one loop carries the running
-M(n) across them in blocks of 2^16.  ``mertens`` stores what that loop
-yields in a table of 4 bytes per n, and is the only path that holds one;
-the growth statistic sup |M(n)| / n^(1/2+eps) over 2 <= n <= limit
-(``mertens growth``) is folded into the same loop block by block, so its
-memory does not grow with the limit.  Boundedness of that statistic for
-every eps > 0 is equivalent to the Riemann hypothesis; comparing it
-against the same statistic for genuine +-1 random walks of matching
-length shows how unusually tame M is.  Step 64j + i of a walk is +1 when
+M(n) across them in blocks of 2^16, dropping each segment before the
+next is sieved.  ``mertens`` stores what that loop yields in a table of
+4 bytes per n, and is the only path that holds one; the growth statistic
+sup |M(n)| / n^(1/2+eps) over 2 <= n <= limit (``mertens growth``) is
+folded into the same loop block by block, so its memory does not grow
+with the limit.  Boundedness of that statistic for every eps > 0 is
+equivalent to the Riemann hypothesis; comparing it against the same
+statistic for genuine +-1 random walks of matching length shows how
+unusually tame M is.  ``random_walk_compare`` takes that length, the
+squarefree count, from the first sqrt(limit) entries of its table and
+drops the table before the first walk.  Step 64j + i of a walk is +1 when
 bit i of raw Philox word j is set and -1 otherwise (see ``rng``), so a
 popcount per word gives W at every 64th step.  Those word ends bound
 the sup from below, the ends of each word bound its own steps from
@@ -107,8 +113,9 @@ def _validate_limit(limit: int) -> None:
 
 @functools.cache
 def _wheel() -> np.ndarray:
-    """The signed product of 2, 3, 5 and 7 over two periods of 2^2 3^2 5^2 7^2."""
-    prod = np.ones(2 * _WHEEL, dtype=np.int32)
+    """The signed product of 2, 3, 5 and 7 over two periods of 2^2 3^2 5^2 7^2,
+    as int16: it is at most 210 in absolute value."""
+    prod = np.ones(2 * _WHEEL, dtype=np.int16)
     for p in (2, 3, 5, 7):
         prod[::p] *= -p
         prod[:: p * p] = 0
@@ -119,9 +126,11 @@ def _wheel() -> np.ndarray:
 def _mobius_block(lo: int, hi: int, base: list[int]) -> np.ndarray:
     """mu(lo..hi) as int8, marked by ``base``, which holds every prime <= sqrt(hi)."""
     size = hi - lo + 1
-    off = lo % _WHEEL
     # (-1)^k * the k distinct primes of n among 2, 3, 5, 7 and base, or 0
-    prod = np.resize(_wheel()[off : off + min(size, _WHEEL)], size)
+    prod = np.empty(size, dtype=np.int32)
+    wheel = _wheel()[lo % _WHEEL :]
+    for off in range(0, size, _WHEEL):
+        prod[off : off + _WHEEL] = wheel[: min(_WHEEL, size - off)]
     for p in base:
         if p > 7:
             prod[(-lo) % p :: p] *= -p
@@ -131,12 +140,16 @@ def _mobius_block(lo: int, hi: int, base: list[int]) -> np.ndarray:
     mu = np.empty(size, dtype=np.int8)
     np.sign(prod, out=mu, casting="unsafe")
     np.abs(prod, out=prod)
-    # |prod| < n: one prime factor above sqrt(hi), so flip (or mu(n) is 0)
-    n = np.arange(lo, hi + 1, dtype=np.int32)
-    np.less(prod, n, out=n, casting="unsafe")
-    n *= -2
-    n += 1
-    np.multiply(mu, n, out=mu, casting="unsafe")
+    # |prod| < n: one prime factor above sqrt(hi), so flip (or mu(n) is 0).
+    # 2^16 n at a time, into prod itself: the segment holds prod and mu only
+    for off in range(0, size, _BLOCK):
+        flip = prod[off : off + _BLOCK]
+        n = lo + off
+        np.less(flip, np.arange(n, n + flip.size, dtype=np.int32), out=flip)
+        flip *= -2
+        flip += 1
+        part = mu[off : off + _BLOCK]
+        np.multiply(part, flip, out=part, casting="unsafe")
     return mu
 
 
@@ -169,6 +182,7 @@ def _mertens_blocks(limit: int, segment_size: int):
             sums += running
             running = int(sums[-1])
             yield lo + off, sums
+        del mu  # before the sieve builds the next segment
 
 
 def mertens(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> MertensSeries:
@@ -194,9 +208,11 @@ def _block_best(lo: int, sums: np.ndarray, expo: float) -> tuple[float, int]:
         lo = 2
     if not sums.size:
         return 0.0, 0
+    stats = np.abs(sums).astype(np.float64)
     ns = np.arange(lo, lo + sums.size, dtype=np.float64)
     with np.errstate(over="ignore"):  # n^expo = inf: the term is far below n = 3's
-        stats = np.abs(sums).astype(np.float64) / ns**expo
+        ns **= expo  # the operator, so numpy takes x ** 0.5 through sqrt
+    stats /= ns
     i = int(np.argmax(stats))
     return float(stats[i]), lo + i
 
@@ -315,7 +331,11 @@ def random_walk_compare(
 
     Each walk has one step per squarefree n <= limit, mirroring the
     number of nonzero Mobius terms rather than the raw range, with the
-    same sup |W(j)| / sqrt(j) statistic over 2 <= j.  percentile_rank is
+    same sup |W(j)| / sqrt(j) statistic over 2 <= j.  That count is
+    Q(x) = sum_{d <= sqrt(x)} mu(d) floor(x / d^2), with mu(d) = M(d) -
+    M(d - 1) read from the first sqrt(x) entries of the table of M, which
+    is then dropped: the first walk loads numpy.random, and its memory
+    stacks only on what is left.  percentile_rank is
     the fraction of walks whose statistic is <= the Mertens one; the mean
     final position and its standard error are a sanity check that the
     walks themselves are unbiased.
@@ -335,9 +355,11 @@ def random_walk_compare(
     _check_workers(workers)
     series = mertens(limit, segment_size)
     m_stat = growth_statistic(series, 0.0)
-    # mu(n) = M(n) - M(n-1), so the squarefree n are where the series moves
-    m = series.partial_sums
-    length = int(np.count_nonzero(m[1:] != m[:-1]))
+    root = isqrt(limit)  # the walk length Q(limit), then no table
+    mu = np.diff(series.partial_sums[: root + 1]).astype(np.int64)
+    d = np.arange(1, root + 1, dtype=np.int64)
+    length = int((mu * (limit // (d * d))).sum())
+    del series
     results = [_walk_statistic(seed, i, length) for i in range(trials)]
     stats = np.array([r[0] for r in results])
     finals = np.array([r[1] for r in results], dtype=np.float64)

@@ -2,6 +2,8 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -199,6 +201,46 @@ def test_walk_length_is_squarefree_count(limit):
     assert r.walk_length == mobius_sieve(limit).squarefree_count()
 
 
+def test_random_walk_compare_drops_the_table_before_the_first_walk(monkeypatch):
+    # the first substream call loads numpy.random: by then the 4 B per n
+    # table of M must be gone, so that the module stacks on less
+    tables, alive = [], []
+    real_mertens, real_substream = conjlab.mobius.mertens, conjlab.mobius.substream
+
+    def spy_mertens(*args, **kwargs):
+        series = real_mertens(*args, **kwargs)
+        tables.append(weakref.ref(series.partial_sums))
+        return series
+
+    def spy_substream(*args):
+        alive.append(tables[0]() is not None)
+        return real_substream(*args)
+
+    monkeypatch.setattr(conjlab.mobius, "mertens", spy_mertens)
+    monkeypatch.setattr(conjlab.mobius, "substream", spy_substream)
+    r = random_walk_compare(10_000, 3, seed=2)
+    assert (len(tables), alive) == (1, [False, False, False])
+    assert r.walk_length == 6083
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [
+        range(2, 3001),
+        [p * p + k for p in conjlab.mobius._base_primes(1000) for k in (-1, 0, 1)],
+        [2**20 - 1, 2**20 + 1, 10**6],
+    ],
+    ids=["2..3000", "p^2-1,p^2,p^2+1", "2^20+-1,10^6"],
+)
+def test_walk_length_is_q_of_x_at_square_edges(limits, monkeypatch):
+    # the length is sum_{d <= sqrt(x)} mu(d) floor(x / d^2), which changes
+    # its last d at x = p^2; the walks themselves are not needed here
+    monkeypatch.setattr(conjlab.mobius, "_walk_statistic", lambda seed, i, length: (0.0, 0))
+    for limit in limits:
+        got = random_walk_compare(limit, 1, seed=0).walk_length
+        assert got == mobius_sieve(limit).squarefree_count(), limit
+
+
 # --- the multiplying sieve, the streamed growth statistic, blocked walks ----
 
 _SIEVE_LIMITS = [1, 2, 2**20, 2**20 + 1, 3 * 2**20 + 5]
@@ -299,6 +341,30 @@ def test_streamed_growth_holds_no_table(monkeypatch):
     monkeypatch.setattr(conjlab.mobius, "mertens", no_table)
     r = conjlab.mobius._growth_stream(10_000, 0.0)
     assert r == GrowthReport(epsilon=0.0, sup_statistic=2 / math.sqrt(5), argmax_n=5)
+
+
+def _traced_peak(fn, *args):
+    # deterministic: tracemalloc sees numpy's buffers
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_segment_holds_five_bytes_per_n():
+    # the int32 product and the int8 result; the flip takes 2^16 n at a time
+    n = conjlab.mobius.DEFAULT_SEGMENT_SIZE
+    base = conjlab.mobius._base_primes(math.isqrt(n))
+    conjlab.mobius._wheel()
+    assert _traced_peak(conjlab.mobius._mobius_block, 1, n, base) <= 5.5 * n
+
+
+def test_streamed_growth_working_set_is_one_segment():
+    # one segment, the last 2^16 block of M and the fold's two temporaries
+    conjlab.mobius._wheel()
+    assert _traced_peak(conjlab.mobius._growth_stream, 5 * 10**6, 0.0) <= 6 * 2**20
 
 
 def test_growth_rejects_epsilon_whose_supremum_is_past_float_range():
