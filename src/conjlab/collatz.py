@@ -108,7 +108,8 @@ _PY_TAIL = 64
 _WIDE = 2**15 - 1
 # The first descent of a block runs this many starts at a time, so its
 # temporaries do not grow with the block.  At 2^13 one worker ran as fast,
-# but two lost their gain on 1..10^7 (1.13 s against 0.97 s at 2^14).
+# but two were slower on 1..10^7 (0.97 s against 0.92 s at 2^14, medians
+# of 9 alternating runs).
 _SUB = 1 << 14
 
 
@@ -531,11 +532,13 @@ def verify_range(
     for the block at a, 2 bytes each, which is about 1 byte per start of
     a sweep from 1; a total of 2^15 - 1 or more is kept exactly in a
     dict.  ``conjlab collatz verify`` on 1..3*10^7 peaks at 63 MiB, where
-    whole-range int32 totals took it to 156 MiB.  Only phase 1 runs on
-    threads, and they pay only on wide sweeps: the median for 1..10^7 fell
-    from about 1.09 s at 1 worker to 0.94 s at 2; 1..5*10^5 took 0.05 s
-    at 1 and 0.06 s at 2, and 8,192 starts from 2^62 (one chunk) 0.04 s
-    at either (2-vCPU Xeon, medians of 9).
+    whole-range int32 totals took it to 156 MiB; at 2 workers, 72 MiB.
+    Only phase 1 runs on threads, at most two blocks per worker ahead of
+    phase 2, and they pay only on wide sweeps: 1..10^7 took 0.89 s at 1
+    worker and 0.82 s at 2 (2 faster in 9 of 11 alternating pairs),
+    1..3*10^7 2.77 s and 2.43 s (8 of 9), 1..5*10^5 0.07 s and 0.08 s
+    (1 faster in 6 of 7), and 8,192 starts from 2^62 (one chunk) run
+    serially at either (2-vCPU Xeon, medians).
     """
     if lo < 1:
         raise ValueError("lo must be a positive integer")

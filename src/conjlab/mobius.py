@@ -21,15 +21,15 @@ folded into the same loop block by block, so its memory does not grow
 with the limit.  Boundedness of that statistic for every eps > 0 is
 equivalent to the Riemann hypothesis; comparing it against the same
 statistic for genuine +-1 random walks of matching length shows how
-unusually tame M is.  ``random_walk_compare`` takes that length, the
-squarefree count, from the first sqrt(limit) entries of its table and
-drops the table before the first walk.  Step 64j + i of a walk is +1 when
-bit i of raw Philox word j is set and -1 otherwise (see ``rng``), so a
-popcount per word gives W at every 64th step.  Those word ends bound
-the sup from below, the ends of each word bound its own steps from
-above, and only the few words that could reach the sup are expanded to
-their steps and go through the same fold as M.  The fold skips a block
-whose bound max |value| / lo^(1/2+eps) cannot beat the best so far.
+unusually tame M is.  ``random_walk_compare`` runs the same fold, and
+takes that length, the squarefree count, from ``mertens(isqrt(limit))``.
+Step 64j + i of a walk is +1 when bit i of raw Philox word j is set and
+-1 otherwise (see ``rng``), so numpy's bit count per word gives W at
+every 64th step.  Those word ends bound the sup from below, the ends of
+each word bound its own steps from above, and only the few words that
+could reach the sup are expanded to their steps and go through the same
+fold as M.  The fold skips a block whose bound max |value| /
+lo^(1/2+eps) cannot beat the best so far.
 """
 
 import functools
@@ -260,16 +260,6 @@ def _growth_stream(
     return _fold_growth(_mertens_blocks(limit, segment_size), limit, epsilon)
 
 
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits per uint64 word as int64, by SWAR bit counting."""
-    m1, m2, m4, ones = (np.uint64(m) for m in (0x5555555555555555, 0x3333333333333333,
-                                                0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
-    x = words - ((words >> np.uint64(1)) & m1)
-    x = (x & m2) + ((x >> np.uint64(2)) & m2)
-    x = (x + (x >> np.uint64(4))) & m4
-    return ((x * ones) >> np.uint64(56)).astype(np.int64)
-
-
 def _walk_statistic(seed: int, index: int, length: int, block: int = _WORDS) -> tuple[float, int]:
     """(sup over 2 <= j <= length of |W(j)| / sqrt(j), W(length)) for the +-1
     walk W on stream (seed, index), drawn ``block`` raw words at a time.
@@ -298,7 +288,7 @@ def _walk_statistic(seed: int, index: int, length: int, block: int = _WORDS) -> 
                 ends[-1] = length
                 words[-1] &= np.uint64((1 << (length - 64 * count + 64)) - 1)
             span = np.diff(ends, prepend=64 * first)
-            w_end = np.cumsum(2 * _popcount(words) - span) + pos
+            w_end = np.cumsum(2 * np.bitwise_count(words).astype(np.int64) - span) + pos
             w_start = np.concatenate(([pos], w_end[:-1]))
             pos = int(w_end[-1])
             at_end = np.abs(w_end) / np.sqrt(ends)
@@ -331,11 +321,11 @@ def random_walk_compare(
 
     Each walk has one step per squarefree n <= limit, mirroring the
     number of nonzero Mobius terms rather than the raw range, with the
-    same sup |W(j)| / sqrt(j) statistic over 2 <= j.  That count is
-    Q(x) = sum_{d <= sqrt(x)} mu(d) floor(x / d^2), with mu(d) = M(d) -
-    M(d - 1) read from the first sqrt(x) entries of the table of M, which
-    is then dropped: the first walk loads numpy.random, and its memory
-    stacks only on what is left.  percentile_rank is
+    same sup |W(j)| / sqrt(j) statistic over 2 <= j.  The Mertens
+    statistic comes from the streaming fold of ``mertens growth``, and
+    the count is Q(x) = sum_{d <= sqrt(x)} mu(d) floor(x / d^2), with
+    mu(d) = M(d) - M(d - 1) from ``mertens(isqrt(x))``: no table of M
+    longer than sqrt(x) + 1 is built.  percentile_rank is
     the fraction of walks whose statistic is <= the Mertens one; the mean
     final position and its standard error are a sanity check that the
     walks themselves are unbiased.
@@ -353,13 +343,11 @@ def random_walk_compare(
         raise ValueError("trials must be at least 1")
     _check_seed(seed)
     _check_workers(workers)
-    series = mertens(limit, segment_size)
-    m_stat = growth_statistic(series, 0.0)
-    root = isqrt(limit)  # the walk length Q(limit), then no table
-    mu = np.diff(series.partial_sums[: root + 1]).astype(np.int64)
+    m_stat = _growth_stream(limit, 0.0, segment_size)
+    root = isqrt(limit)  # the walk length Q(limit)
+    mu = np.diff(mertens(root, segment_size).partial_sums).astype(np.int64)
     d = np.arange(1, root + 1, dtype=np.int64)
     length = int((mu * (limit // (d * d))).sum())
-    del series
     results = [_walk_statistic(seed, i, length) for i in range(trials)]
     stats = np.array([r[0] for r in results])
     finals = np.array([r[1] for r in results], dtype=np.float64)

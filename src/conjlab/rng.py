@@ -59,15 +59,23 @@ def _check_workers(workers: int) -> None:
 def _pmap(fn, tasks: list, workers: int):
     """Yield ``fn(t)`` for each task, on ``workers`` threads when that can help.
 
-    Results come in task order, each once it and all before it are done;
-    runs serially, one task per ``next``, when ``workers == 1`` or there
-    is at most one task.
+    Results come in task order, each once it and all before it are done,
+    with at most ``2 * workers`` tasks submitted ahead of it; runs
+    serially, one task per ``next``, when ``workers == 1`` or there is at
+    most one task.
     """
     _check_workers(workers)
     if workers == 1 or len(tasks) <= 1:
         yield from map(fn, tasks)
         return
+    from collections import deque
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, tasks)
+        ahead = deque()
+        for t in tasks:
+            ahead.append(pool.submit(fn, t))
+            if len(ahead) > 2 * workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()

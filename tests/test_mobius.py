@@ -192,7 +192,24 @@ def test_random_walk_compare_sieves_once(monkeypatch):
 
     monkeypatch.setattr(conjlab.mobius, "mobius_segments", counting)
     random_walk_compare(1000, 2, seed=0)
-    assert passes == [1000]
+    # the range once, for the growth statistic; 1..31 once, for the length
+    assert sorted(passes) == [31, 1000]
+
+
+@pytest.mark.parametrize("limit", [2, 1000, 10_000, 2**20 + 1])
+def test_random_walk_compare_builds_no_table_past_the_square_root(limit, monkeypatch):
+    calls = []
+    real_mertens = conjlab.mobius.mertens
+
+    def spy_mertens(n, *args, **kwargs):
+        series = real_mertens(n, *args, **kwargs)
+        calls.append((n, series.partial_sums.size))
+        return series
+
+    monkeypatch.setattr(conjlab.mobius, "mertens", spy_mertens)
+    random_walk_compare(limit, 1, seed=0)
+    root = math.isqrt(limit)
+    assert calls and all(n <= root and size <= root + 1 for n, size in calls)
 
 
 @pytest.mark.parametrize("limit", [2, 3, 1000])
@@ -509,12 +526,15 @@ def test_skipping_words_changes_no_walk_statistic(monkeypatch):
     assert 0 < min(folded) and max(folded) < 9499 // 50
 
 
-def test_popcount_counts_every_bit():
+def test_popcount_counts_every_bit(monkeypatch):
+    # W at the end of each word is the running sum of 2 * popcount - 64:
+    # ending the walk at every word end pins each word's count
     words = [0, 1, 2**63, 2**64 - 1, 0x5555555555555555, 0xF0F0F0F0F0F0F0F0]
     words += stream_words(3, 1, 200)
-    got = conjlab.mobius._popcount(np.array(words, dtype=np.uint64))
-    assert got.dtype == np.int64
-    assert got.tolist() == [bin(w).count("1") for w in words]
+    monkeypatch.setattr(conjlab.mobius, "substream", lambda seed, index: _Words(words))
+    for k, block in itertools.product(range(1, len(words) + 1), (1, 3, 2**13)):
+        got = conjlab.mobius._walk_statistic(0, 0, 64 * k, block)
+        assert got == _every_step_walk(words[:k], 64 * k), (k, block)
 
 
 # --- the signed-product sieve, the block bounds ----------------------------

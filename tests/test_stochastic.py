@@ -1,5 +1,6 @@
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -157,6 +158,22 @@ def test_pmap_keeps_task_order_and_runs_small_maps_inline():
     calls = []
     next(_pmap(calls.append, tasks, 1))
     assert calls == [0]
+
+
+def test_pmap_submits_at_most_two_tasks_per_worker_ahead(monkeypatch):
+    submitted = []
+    submit = ThreadPoolExecutor.submit
+
+    def counting(self, fn, *args, **kwargs):
+        submitted.append(args[0])
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counting)
+    results = _pmap(lambda t: t * t, list(range(50)), 2)
+    assert next(results) == 0
+    assert len(submitted) <= 2 * 2 + 1
+    assert list(results) == [t * t for t in range(1, 50)]
+    assert submitted == list(range(50))
 
 
 def test_heuristic_walk_without_steps_still_checks_workers():
