@@ -2,9 +2,11 @@
 
 theta(t) is the phase t/2 log(t/2pi) - t/2 - pi/8 plus the asymptotic
 corrections 1/(48t) + 7/(5760 t^3); the next term is 31/(80640 t^5),
-and twice it is reported as a bound on the truncation error (the series
-is enveloping, so for t >= 10 the tail is below twice its first omitted
-term).
+and twice it bounds the truncation error (the series is enveloping, so
+for t >= 10 the tail is below twice its first omitted term).
+theta_value adds a bound on float64 rounding, the larger term from
+t ~ 95 on (2.9e-11 at t = 1e4, where truncation is 7.7e-24); the
+decimal judge tests/theta_decimal.py checks the sum up to t = 1e15.
 
 Z(t) = exp(i theta(t)) zeta(1/2 + it) is real with |Z| = |zeta| on the
 critical line, so each sign change of Z brackets a zero.  The scan's
@@ -25,12 +27,15 @@ Phi and its derivatives are evaluated through one Chebyshev interpolant
 built at import time (the closed form has removable singularities at
 z = +-1/2 that the interpolant absorbs).  The C1/C2 coefficient
 structure was cross-checked numerically against an independent
-multiprecision evaluator before being frozen here.  Differentiating the
-degree-100 interpolant amplifies the rounding noise in its top
-coefficients: against mpmath at 40 digits on 201 points of [-1, 1],
-Phi is off by up to 1.7e-14, Phi''' by 5.1e-8 and Phi^(6) by 0.157
-(at z = 0.99), which C2's weight 1/(288 pi^4 tau^2 sqrt(tau)) turns
-into up to 1.4e-10 in Z at t = 3e4, 32% of the 0.03 t^(-7/4) below.
+multiprecision evaluator before being frozen here.  The interpolant has
+degree 26, where Phi's coefficients reach rounding noise; any higher
+degree only adds noise that differentiation amplifies.  Against the
+decimal judge tests/phi_decimal.py (40 digits, 375 points of [-1, 1]
+with |cos(pi z)| >= 0.1), Phi is off by up to 1.4e-15, Phi'' by
+1.5e-12, Phi''' by 5.7e-11 and Phi^(6) by 4.6e-6, which C2's weight
+1/(288 pi^4 tau^2 sqrt(tau)) turns into 4e-15 in Z at t = 3e4.  At
+degree 100 they were 1.9e-14, 3.3e-10, 5.1e-8 and 0.157, up to 1.4e-10
+in Z at t = 3e4.
 
 z_values sorts its abscissae and evaluates them in blocks of 8192 points.
 In a block, m never decreases, so the points that take term n of the
@@ -136,8 +141,15 @@ def _phi_raw(z: np.ndarray) -> np.ndarray:
 
 # Interpolate Phi(1.2 u) on u in [-1, 1]; z stays well inside the domain.
 _PHI_SCALE = 1.2
+# Phi's Chebyshev coefficients reach float64 rounding noise at k = 26
+# (|a_24| = 6.5e-15, |a_26| = 2.7e-16; Phi is even, so the odd ones are
+# noise throughout).  Higher degrees add no accuracy, only noise that each
+# derivative amplifies.  The judge is tests/phi_decimal.py: of degrees 24
+# to 30, 26 puts Phi, Phi'' and Phi''' closest to it (Phi''' within
+# 5.7e-11; 1.6e-10 at 28, 5.1e-8 at degree 100).
+_PHI_DEGREE = 26
 _PHI_CHEB = _cheb.Chebyshev(
-    _cheb.chebinterpolate(lambda u: _phi_raw(_PHI_SCALE * u), 100)
+    _cheb.chebinterpolate(lambda u: _phi_raw(_PHI_SCALE * u), _PHI_DEGREE)
 )
 # Z uses Phi and its derivatives of orders 2, 3 and 6 only.
 _PHI_ORDERS = (0, 2, 3, 6)
@@ -145,10 +157,10 @@ _PHI_ORDERS = (0, 2, 3, 6)
 
 def _phi_stack() -> np.ndarray:
     """The series of Phi^(k), k in _PHI_ORDERS, as the columns of one
-    (101, 4) array, zero-padded at the high-order end.  The padding keeps
-    each column's Clenshaw recurrence at exact zeros until it reaches the
-    series' leading coefficient, so one chebval pass gives the same bits
-    as four."""
+    (_PHI_DEGREE + 1, 4) array, zero-padded at the high-order end.  The
+    padding keeps each column's Clenshaw recurrence at exact zeros until
+    it reaches the series' leading coefficient, so one chebval pass
+    gives the same bits as four."""
     # one chebder step per order, as Chebyshev.deriv(k) takes them
     series = [_PHI_CHEB.coef]
     for _ in range(_PHI_ORDERS[-1]):
@@ -161,9 +173,11 @@ def _phi_stack() -> np.ndarray:
 
 _PHI_STACK = _phi_stack()
 _PHI_POWERS = np.array([[_PHI_SCALE**k] for k in _PHI_ORDERS])
-# Points per Z block, the fastest of the sizes timed from 2048 to 32768 on
-# a 2-vCPU Xeon (6144 ties; 4096 is 45 % slower, 32768 28 %): its (4, block)
-# Clenshaw temporaries stay in L2 and numpy's per-call overhead stays small.
+# Points per Z block.  Re-timed at _PHI_DEGREE = 26 over 12 alternating
+# rounds of verify_rh(8000, 0.2) on a 2-vCPU Xeon: 8192 beat 4096 in all
+# 12 (4096 was 22 % slower), and 16384 and 32768 in 11 (12 % and 21 %
+# slower).  Smaller blocks make more numpy calls per point; larger ones
+# hold more than 256 KiB in ts, th, acc and the term buffer.
 _Z_BLOCK = 8192
 
 
@@ -203,8 +217,31 @@ def theta(t: float) -> float:
 
 
 def theta_value(t: float) -> ThetaValue:
-    """theta(t) together with a bound on the truncation error."""
-    return ThetaValue(t=t, theta=theta(t), error_bound=62.0 / (80640.0 * t**5))
+    """theta(t) with a bound on its distance from the true phase.
+
+    The bound adds the truncation bound 62/(80640 t^5) to a bound on
+    the float64 rounding in ``theta``.  With u = 2^-53, h = t/2 (exact)
+    and L = log(t/2pi), assuming ``math.log`` and ``t**3`` within 1 ulp
+    (2u relative) of the exact result:
+
+    - t / (2 math.pi) rounds twice (math.pi is pi within u), so log's
+      argument is off by a relative 2u and L by 2u + 2u L with log's own
+      ulp; times h that is 2u h + 2u h L;
+    - h * L rounds once: u h L;
+    - subtracting h rounds once: u |hL - h| <= u (h L + h);
+    - math.pi / 8 is pi/8 within 0.4u; subtracting it and adding the
+      two corrections round three times, u (|theta| + 0.003) each; the
+      corrections are within 4u of themselves, below 0.01u for t >= 10.
+
+    That is u (4 h L + 3 h + 3 |theta| + 0.43) to first order.  The
+    term in h is rounded up to 4 h and the constant to 1: u h is far
+    above every second-order term (u^2 h L times a small integer) and
+    the rounding of the bound's own evaluation.
+    """
+    th = theta(t)
+    h = 0.5 * t
+    rounding = 2.0**-53 * (4.0 * h * math.log(t / _TWO_PI) + 4.0 * h + 3.0 * abs(th) + 1.0)
+    return ThetaValue(t=t, theta=th, error_bound=62.0 / (80640.0 * t**5) + rounding)
 
 
 def _z_block(ts: np.ndarray) -> np.ndarray:
@@ -218,8 +255,14 @@ def _z_block(ts: np.ndarray) -> np.ndarray:
     m = np.floor(tau).astype(np.int64)
     th = _theta(ts, np.log)
     acc = np.zeros_like(ts)
+    buf = np.empty_like(ts)
     for n, s in enumerate(np.searchsorted(m, np.arange(1, m[-1] + 1)).tolist(), 1):
-        acc[s:] += np.cos(th[s:] - ts[s:] * math.log(n)) / math.sqrt(n)
+        term = buf[s:]
+        np.multiply(ts[s:], math.log(n), out=term)
+        np.subtract(th[s:], term, out=term)
+        np.cos(term, out=term)
+        term /= math.sqrt(n)
+        acc[s:] += term
     z = 2.0 * (tau - m) - 1.0
     phi, phi2, phi3, phi6 = _cheb.chebval(z / _PHI_SCALE, _PHI_STACK) / _PHI_POWERS
     pi2 = math.pi**2
@@ -349,7 +392,7 @@ def zeros_in(
     ``tol`` bounds that width, not the distance to the true zero, which is
     set by Z's error bound over |Z'| there: for ``zeros_in(10, 60)`` the
     first zero is 9.8e-5 from mpmath's ``zetazero(1)`` (Z's bound is
-    2.9e-4 at t = 14.1), the other twelve 1e-6 to 2e-5 from theirs.
+    2.9e-4 at t = 14.1), the other twelve 9e-7 to 1.7e-5 from theirs.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -360,7 +403,12 @@ def zeros_in(
 def zero_count_analytic(T: float) -> int:
     """Nearest integer to theta(T)/pi + 1, the zero count for T in any
     range where |S(T)| < 1/2.  Warns when the value is close enough to a
-    rounding boundary that an S-excursion could shift the count."""
+    rounding boundary that an S-excursion could shift the count.
+
+    The 0.3 band ignores the float64 error of theta itself, which
+    ``theta_value`` bounds: theta(T)/pi is 0.02 off at T = 1e14 and 0.8
+    off at 1e15 (bounds 0.38 and 4.1), so up there the rounded count
+    can be off by one with no warning."""
     main = theta(T) / math.pi + 1.0
     if abs(main - (math.floor(main) + 0.5)) < _HALF_WARN_BAND:
         warnings.warn(

@@ -761,19 +761,19 @@ _GOLDEN = [
     (
         ("zeta", "theta", "--t", 30.0),
         0,
-        "30.0,8.057800136548158,3.1639885034946764e-11\n",
+        "30.0,8.057800136548158,3.165975498722195e-11\n",
         (
             '{"t": 30.0, "theta": 8.057800136548158, '
-            '"error_bound": 3.1639885034946764e-11}\n'
+            '"error_bound": 3.165975498722195e-11}\n'
         ),
         "",
     ),
     (
         ("zeta", "z", "--t", 100.0),
         0,
-        "100.0,2.692695499523194,3,9.486832980505138e-06\n",
+        "100.0,2.6926954954834526,3,9.486832980505138e-06\n",
         (
-            '{"t": 100.0, "z": 2.692695499523194, "terms": 3, '
+            '{"t": 100.0, "z": 2.6926954954834526, "terms": 3, '
             '"error_bound": 9.486832980505138e-06}\n'
         ),
         "",
@@ -818,14 +818,14 @@ _GOLDEN = [
         ("zeta", "refine", "--lo", 10.0, "--hi", 26.0),
         0,
         (
-            "1,14.134822979941964\n"
-            "2,21.022037219628693\n"
-            "3,25.01087076924741\n"
+            "1,14.134822934493423\n"
+            "2,21.022037183865905\n"
+            "3,25.010871494933966\n"
         ),
         (
-            '{"index": 1, "t": 14.134822979941964}\n'
-            '{"index": 2, "t": 21.022037219628693}\n'
-            '{"index": 3, "t": 25.01087076924741}\n'
+            '{"index": 1, "t": 14.134822934493423}\n'
+            '{"index": 2, "t": 21.022037183865905}\n'
+            '{"index": 3, "t": 25.010871494933966}\n'
         ),
         "",
     ),

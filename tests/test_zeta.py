@@ -1,5 +1,7 @@
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from conjlab.zeta import (
 )
 
 from em_zeta import EM_ERROR_BOUND, zeta_half
+from phi_decimal import phi_derivatives
+from theta_decimal import coefficient, theta_series
 from z_reference import z_values_reference
 
 
@@ -50,6 +54,30 @@ def test_theta_value_error_bound():
     assert tv.theta == theta(30.0)
     assert 0 < tv.error_bound < 1e-10
     assert theta_value(100.0).error_bound < tv.error_bound
+
+
+def test_theta_series_coefficients_from_bernoulli_numbers():
+    assert [coefficient(k) for k in range(1, 5)] == [
+        Fraction(1, 48), Fraction(7, 5760), Fraction(31, 80640), Fraction(127, 430080)
+    ]
+
+
+_THETA_GRID = np.geomspace(T_MIN, 1e15, 1500).tolist()
+
+
+def _theta_error(t):
+    return float(abs(theta_series(t) - Decimal(theta(t))))
+
+
+def test_theta_value_bound_holds_against_the_decimal_judge():
+    missed = [t for t in _THETA_GRID if not _theta_error(t) <= theta_value(t).error_bound]
+    assert missed == []
+
+
+def test_truncation_bound_alone_misses_the_rounding():
+    # the bound theta_value reported before it counted the rounding
+    missed = [t for t in _THETA_GRID if _theta_error(t) > 62.0 / (80640.0 * t**5)]
+    assert len(missed) > len(_THETA_GRID) // 2
 
 
 def test_z_domain():
@@ -507,6 +535,26 @@ def test_phi_stack_matches_separate_chebval():
     for row, k in zip(rows, zeta._PHI_ORDERS):
         series = zeta._PHI_CHEB.deriv(k) if k else zeta._PHI_CHEB
         assert np.array_equal(row, series(u))
+
+
+# The worst error of each column against the judge, as measured at
+# _PHI_DEGREE = 26 on the points below, times a margin of 4.  Degree 100
+# was off by 1.9e-14, 3.3e-10, 5.1e-8 and 0.157.
+_PHI_TOL = {0: 4 * 1.44e-15, 2: 4 * 1.49e-12, 3: 4 * 5.72e-11, 6: 4 * 4.64e-6}
+
+
+def test_phi_columns_against_the_decimal_judge():
+    z = np.linspace(-1.0, 1.0, 401)
+    z = z[np.abs(np.cos(np.pi * z)) >= 0.1]  # where the judge keeps 40 digits
+    assert z.size >= 200
+    cols = np.polynomial.chebyshev.chebval(z / zeta._PHI_SCALE, zeta._PHI_STACK)
+    cols /= zeta._PHI_POWERS
+    judged = [phi_derivatives(v) for v in z.tolist()]
+    worst = {
+        k: float(np.abs(col - [float(d[k]) for d in judged]).max())
+        for col, k in zip(cols, zeta._PHI_ORDERS)
+    }
+    assert all(e <= _PHI_TOL[k] for k, e in worst.items()), worst
 
 
 def _verify_rh_from_scratch(T, grid_step, max_refinements):

@@ -23,7 +23,7 @@ def _phi_raw(z: np.ndarray) -> np.ndarray:
 
 _PHI_SCALE = 1.2
 _PHI_CHEB = _cheb.Chebyshev(
-    _cheb.chebinterpolate(lambda u: _phi_raw(_PHI_SCALE * u), 100)
+    _cheb.chebinterpolate(lambda u: _phi_raw(_PHI_SCALE * u), 26)
 )
 _PHI_DERIVS = {k: _PHI_CHEB.deriv(k) if k else _PHI_CHEB for k in (0, 2, 3, 6)}
 
