@@ -20,7 +20,7 @@ never truncated, to take the longest earlier match and, among equally
 long ones, the rightmost.  ``random_fraction`` runs its samples serially.
 """
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +52,7 @@ _MIN_MATCH = 16
 # b"0" to 0, b"1" to 1 and any other byte to 2, which __post_init__ rejects
 _ASCII_BITS = bytes(c - 48 if c in b"01" else 2 for c in range(256))
 _BIJECTION_K_MAX = 24
+_BIJECTION_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -149,27 +150,61 @@ def realize(x) -> Realization:
     return Realization(k=k, residue=c, witness=c)
 
 
+def _opening(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per residue r mod 2^bits (r = 0 stands for 2^bits), in uint32: the
+    code of its first ``bits`` parities, 3^a with a the odd steps among
+    them, and T^bits(r)."""
+    v = np.arange(1 << bits, dtype=np.uint32)
+    code, mult = np.zeros_like(v), np.ones_like(v)
+    for i in range(bits):
+        b, v = _t_vec(v)
+        code |= b << i
+        mult += 2 * b * mult
+    return code, mult, v
+
+
+def _code_blocks(k: int) -> Iterator[np.ndarray]:
+    """The k-bit codes of the residues 0, 1, ..., 2^k - 1 in ascending
+    order (0 stands for 2^k), as uint32 blocks of rows of 2^(k // 2)."""
+    m = k // 2
+    h = k - m
+    code_m, mult, t_m = _opening(m)
+    high = _opening(h)[0] << m
+    mask, rows = np.uint32((1 << h) - 1), _BIJECTION_BLOCK >> m
+    for q0 in range(0, 1 << h, rows):
+        q = np.arange(q0, min(q0 + rows, 1 << h), dtype=np.uint32)[:, None]
+        yield high[(q * mult + t_m) & mask] | code_m
+
+
 def bijection_check(k: int) -> bool:
     """Exhaustively confirm that extraction maps {1, ..., 2^k} onto {0,1}^k.
 
-    Vectorized in blocks of 2^14 residues, whose int64 temporaries stay
-    in cache; each block marks its codes in one bool array over all 2^k,
-    and 2^k residues reach 2^k codes one-to-one exactly when every code
-    is marked.  k is capped to keep that array in memory and iterates
-    inside int64 (max growth 3^k).
+    With m = k // 2 and h = k - m, write each residue as n = q * 2^m + r,
+    0 <= r < 2^m, 0 <= q < 2^h (residue 0 stands for 2^k; both have the
+    all-zero code).  Then:
+
+    - the first m parities of n are r's own;
+    - T^m(n) = 3^a(r) * q + T^m(r), with a(r) the odd steps among them;
+    - the next h parities depend only on T^m(n) mod 2^h.
+
+    So no orbit is followed past h steps: two tables over the residues
+    mod 2^m and mod 2^h (``_opening``) give every code,
+    code_m(r) | code_h((3^a(r) q + T^m(r)) mod 2^h) << m, in blocks of at
+    most 2^14 residues whose temporaries stay in cache.  Each block marks
+    its codes in one bool array over all 2^k, and 2^k residues reach 2^k
+    codes one-to-one exactly when every code is marked.  uint32 is exact,
+    with no wrap: for k <= 24, m and h are at most 12, and
+    T^i(r) + 1 <= 1.5^i (r + 1) keeps every table iterate
+    below 1.5^12 * 2^12 = 3^12 (so 3v + 1 < 3^13) and every index
+    3^a(r) q + T^m(r) below 2^12 * 3^12 + 1.5^12 * 2^12 < 2^32.  k is
+    capped for that bound and for the 2^k-byte array.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     if k > _BIJECTION_K_MAX:
         raise ValueError(f"k > {_BIJECTION_K_MAX} not supported by the exhaustive check")
-    n, block = 1 << k, 1 << 14
-    hit = np.zeros(n, dtype=bool)
-    for a in range(0, n, block):
-        v = np.arange(a + 1, min(a + block, n) + 1, dtype=np.int64)
-        codes = np.zeros_like(v)
-        for i in range(k):
-            b, v = _t_vec(v)
-            codes |= b << i
+    hit = np.zeros(1 << k, dtype=bool)
+    for codes in _code_blocks(k):
         hit[codes] = True
     return bool(hit.all())
 

@@ -6,6 +6,8 @@ position a doubling-and-binary search over ``bytes.rfind`` for the longest
 earlier occurrence, and one more ``rfind`` for its rightmost start.  It
 shares no code with ``conjlab.parity``, so the package's parse is judged
 against an independent implementation, cost for cost with ``==``.
+``lz_tokens(bits)`` yields the parse's literals and phrases one by one;
+the cost is their sum, and ``lz_codec`` writes them as bits.
 It is quadratic in the worst case; keep its inputs small.
 """
 
@@ -41,8 +43,9 @@ def _match_feasible(bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lz_cost(raw: bytes, feasible: np.ndarray) -> int:
-    """Greedy phrase-parse cost in bits.
+def _parse(raw: bytes, feasible: np.ndarray):
+    """Greedy phrase parse, one token at a time: (0, bit) for a literal,
+    (offset, length) for a phrase copied from ``offset`` bits back.
 
     Phrases copy from any earlier start (overlap with the phrase itself
     allowed, which encodes runs); costs are 1 flag bit plus gamma codes
@@ -51,12 +54,11 @@ def _lz_cost(raw: bytes, feasible: np.ndarray) -> int:
     replaces.
     """
     k = len(raw)
-    cost = 0
     pos = 0
     while pos < k:
         limit = k - pos
         if limit < _MIN_MATCH or not feasible[pos]:
-            cost += 2
+            yield 0, raw[pos]
             pos += 1
             continue
 
@@ -81,15 +83,19 @@ def _lz_cost(raw: bytes, feasible: np.ndarray) -> int:
         j = raw.rfind(raw[pos : pos + lo], 0, pos + lo - 1)
         phrase_cost = 1 + _gamma_len(pos - j) + _gamma_len(lo)
         if phrase_cost < 2 * lo:
-            cost += phrase_cost
+            yield pos - j, lo
             pos += lo
         else:
-            cost += 2
+            yield 0, raw[pos]
             pos += 1
-    return cost
+
+
+def lz_tokens(bits):
+    """The reference parse's tokens of a 0/1 sequence (see ``_parse``)."""
+    b = np.asarray(bits, dtype=np.uint8)
+    return _parse(b.tobytes(), _match_feasible(b))
 
 
 def lz_cost_reference(bits) -> int:
     """Phrase-parse cost of a 0/1 sequence under the reference parse."""
-    b = np.asarray(bits, dtype=np.uint8)
-    return _lz_cost(b.tobytes(), _match_feasible(b))
+    return sum(2 if off == 0 else 1 + _gamma_len(off) + _gamma_len(n) for off, n in lz_tokens(bits))

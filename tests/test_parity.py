@@ -1,8 +1,11 @@
-import itertools
 import threading
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from bijection_reference import codes_reference
+from lz_codec import decode, encode
 from lz_reference import lz_cost_reference
 from philox_reference import stream_bits
 
@@ -104,10 +107,28 @@ def test_bijection_check():
         bijection_check(-1)
 
 
-@pytest.mark.parametrize("k", list(range(1, 14)) + [15, 16, 17])
+@pytest.mark.parametrize("k", range(1, 25))
 def test_bijection_check_across_residue_blocks(k):
-    # residues go in blocks of 2^14: k <= 13 fills part of one, k >= 15 several
+    # residues go in blocks of 2^14: k <= 13 fills part of one, k >= 15 several;
+    # odd k splits into unequal halves (h = m + 1)
     assert bijection_check(k) is True
+
+
+def _codes(k):
+    # index n holds the code of residue n, 0 standing for 2^k
+    return np.concatenate([c.ravel() for c in parity._code_blocks(k)])
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_bijection_codes_match_extraction(k):
+    want = [sum(b << i for i, b in enumerate(parity_vector(n or 2**k, k))) for n in range(2**k)]
+    assert _codes(k).tolist() == want
+
+
+@pytest.mark.parametrize("k", [15, 16, 17, 20])
+def test_bijection_codes_match_full_orbit_reference(k):
+    # the reference lists 1, ..., 2^k; _codes lists 2^k, 1, ..., 2^k - 1
+    assert np.array_equal(np.roll(_codes(k), -1), codes_reference(k))
 
 
 @pytest.mark.parametrize("k", [1, 8, 15])
@@ -118,16 +139,17 @@ def test_bijection_check_says_no_when_every_parity_bit_is_zero(k, monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 8, 15])
 def test_bijection_check_says_no_on_one_collision(k, monkeypatch):
-    # flip only residue 2's first bit: its code becomes another residue's
-    t_vec, calls = parity._t_vec, itertools.count()
+    # flip only residue 1's first bit: its code becomes an even residue's
+    code_blocks = parity._code_blocks
 
-    def flipped(v):
-        b, w = t_vec(v)
-        if next(calls) % k == 0:  # k steps per block of residues: the first
-            b[v == 2] ^= 1
-        return b, w
+    def flipped(k):
+        blocks = code_blocks(k)
+        first = next(blocks)
+        first.flat[1] ^= 1
+        yield first
+        yield from blocks
 
-    monkeypatch.setattr(parity, "_t_vec", flipped)
+    monkeypatch.setattr(parity, "_code_blocks", flipped)
     assert bijection_check(k) is False
 
 
@@ -292,18 +314,65 @@ def test_lz_cost_matches_frozen_reference_structured(name):
     assert _lz_cost(x) == lz_cost_reference(x)
 
 
+def _random_4096():
+    return (substream(501, i).integers(0, 2, size=4096, dtype=np.uint8) for i in range(200))
+
+
 def test_lz_cost_matches_frozen_reference_random():
-    for i in range(200):
-        x = substream(501, i).integers(0, 2, size=4096, dtype=np.uint8)
+    for i, x in enumerate(_random_4096()):
         assert _lz_cost(x) == lz_cost_reference(x), i
 
 
-@pytest.mark.parametrize("k", [0, 1, 15, 16, 17, 31, 32, 33])
-def test_lz_cost_matches_frozen_reference_short(k):
+_SHORT_K = [0, 1, 15, 16, 17, 31, 32, 33]
+
+
+def _short(k):
     cases = [[0] * k, [1] * k, [0, 1] * (k // 2) + [0] * (k % 2), [1, 1, 0] * (k // 3)]
-    cases += [_rand(100 + s, k) for s in range(20)]
-    for x in cases:
+    return cases + [_rand(100 + s, k) for s in range(20)]
+
+
+@pytest.mark.parametrize("k", _SHORT_K)
+def test_lz_cost_matches_frozen_reference_short(k):
+    for x in _short(k):
         assert _lz_cost(x) == lz_cost_reference(x), x
+
+
+def _assert_estimate_is_a_code_length(x):
+    code = encode(x)
+    assert len(code) == description_length_estimate(x).estimate
+    assert decode(code) == [int(b) for b in x]
+
+
+@pytest.mark.parametrize("name", list(_STRUCTURED))
+def test_lz_codec_writes_the_estimate_structured(name):
+    _assert_estimate_is_a_code_length(_STRUCTURED[name])
+
+
+def test_lz_codec_writes_the_estimate_random():
+    for x in _random_4096():
+        _assert_estimate_is_a_code_length(x)
+
+
+@pytest.mark.parametrize("k", _SHORT_K)
+def test_lz_codec_writes_the_estimate_short(k):
+    for x in _short(k):
+        _assert_estimate_is_a_code_length(x)
+
+
+@pytest.mark.parametrize("k", range(1, 18))
+def test_lz_code_lengths_obey_kraft(k):
+    # Model bit + body over every k-bit x.  No phrase fits below k = 17,
+    # so up to 16 every x is verbatim and the sum is exactly 1/2; at 17
+    # two vectors compress, and the codec writes those too.
+    header = estimator_overhead(k) - 1
+    lengths = Counter()
+    for i in range(2**k):
+        x = format(i, f"0{k}b")
+        estimate = description_length_estimate(x).estimate
+        lengths[estimate - header] += 1
+        if estimate - header <= k:
+            _assert_estimate_is_a_code_length(x)
+    assert sum(Fraction(n, 2**bits) for bits, n in lengths.items()) <= 1
 
 
 def test_estimates_of_structured_orbits_are_pinned():
