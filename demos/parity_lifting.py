@@ -1,9 +1,9 @@
 """Parity vectors: every k-bit pattern is hit by exactly one residue
-class mod 2^k, and the witness can be built bit by bit.
+class mod 2^k, and the witness comes in closed form.
 
-The inversion never searches. Flipping the i-th parity of the current
-candidate only requires adding 2^i, because that addition shifts the
-i-th iterate by an odd multiple of 3^(number of odd steps so far).
+The inversion never searches. Along a pattern x with a ones, k steps
+send n to (3^a n + s) / 2^k, so the witness is the one residue c in
+{1, ..., 2^k} with 3^a c + s = 0 (mod 2^k).
 """
 
 from conjlab.parity import bijection_check, parity_vector, realize

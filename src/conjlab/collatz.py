@@ -27,7 +27,7 @@ the target of n lies in [n/2, n), and the totals are kept only from half
 the current block upward, in int16 with the rare wider one in a dict:
 about 1 byte per start of a sweep from 1, 2 when lo is large against the
 range.  ``conjlab collatz verify --lo 1 --hi 30000000 --budget 100000``
-peaks at 63 MiB, where whole-range int32 totals took it to 156 MiB.
+peaks at 63 MiB.
 
 The sweep is exact integer arithmetic throughout.  Starts that fit in
 64 bits are advanced in vectorized numpy blocks; any iterate that could
@@ -35,25 +35,25 @@ overflow ``3*v + 1`` in uint64 is promoted to a plain Python integer
 mid-flight and handed back to its block as soon as it fits again, so
 results are identical to the pure-Python path bit for bit.  Promotion is
 transient: 8,192 starts from just above 2^62 take about 6 steps each in
-Python ints, against 170-220 when a promoted iterate stayed in Python
-ints down to its root.
+Python ints.
 
-This module is the package's only home of the map, spelled in five
-places, one per output shape: ``step`` (one application; ``trajectory``
-calls it), ``_follow_py`` (steps to a floor, counted only; ``iterate``,
-and ``_descend`` for promoted iterates and a block's last few starts),
-``total_stopping_time`` (steps to 1 with the running maximum),
-``_parities`` (the parity bits of up to k iterates, for ``parity`` and
-``stochastic``) and ``_t_vec`` (one step over an integer array, for the
-sweep, the residue table, ``parity.bijection_check`` and the lanes of
-``stochastic.empirical_parity_frequency``).  The three scalar loops
-stay apart because each extra duty slows the others' hot paths (2-vCPU Xeon, Python 3.11,
-median of 7): recording parities in ``_follow_py`` made 65536 starts
-from 2^62 followed to their first descent 44% slower; collecting the
-iterates and taking ``v & 1`` afterwards made ``_parities`` on
-2^40 + [0, 10^4) with k = 64 29% slower, a generator 34%; and
-``total_stopping_time`` over a list of iterates holds the whole orbit
-and ran 3-6% slower on n in [2, 5*10^4].
+This module is the package's only home of the map: no other module steps
+it (``parity.realize`` solves a congruence instead).  It is spelled in
+five places, one per output shape: ``step`` (one application;
+``trajectory`` calls it), ``_follow_py`` (steps to a floor, counted
+only; ``iterate``, and ``_descend`` for promoted iterates and a block's
+last few starts), ``total_stopping_time`` (steps to 1 with the running
+maximum), ``_parities`` (the parity bits of up to k iterates, for
+``parity`` and ``stochastic``) and ``_t_vec`` (one step over an integer
+array, for the sweep, the residue table, ``parity.bijection_check`` and
+the lanes of ``stochastic.empirical_parity_frequency``).  The three
+scalar loops stay apart because each extra duty slows the others' hot
+paths (2-vCPU Xeon, Python 3.11, median of 7): recording parities in
+``_follow_py`` made 65536 starts from 2^62 followed to their first
+descent 44% slower; collecting the iterates and taking ``v & 1``
+afterwards made ``_parities`` on 2^40 + [0, 10^4) with k = 64 29%
+slower, a generator 34%; and ``total_stopping_time`` over a list of
+iterates holds the whole orbit and ran 3-6% slower on n in [2, 5*10^4].
 """
 
 import functools
@@ -79,10 +79,10 @@ __all__ = [
 # Starts per block: one phase-1 task, resolved at once in phase 2.  The
 # block's steps and links (16 B per start) and phase 2's temporaries are
 # the sweep's fixed working set, about 3 MiB at 2^16; the totals window
-# adds about 1 B per start of the range (1..3*10^7 through the CLI: 63 MiB,
-# 156 MiB with whole-range int32 totals).  Smaller blocks are slower, since
-# each runs its own straggler loop and Python tail: 1..10^7 took 1.45 s at
-# 2^13 against 1.06 s at 2^16 (2-vCPU Xeon, medians of 5).
+# adds about 1 B per start of the range (1..3*10^7 through the CLI: 63 MiB).
+# Smaller blocks are slower, since each runs its own straggler loop and
+# Python tail: 1..10^7 took 1.45 s at 2^13 against 1.06 s at 2^16 (2-vCPU
+# Xeon, medians of 5).
 DEFAULT_CHUNK_SIZE = 1 << 16
 
 # Largest v for which 3*v + 1 cannot wrap a uint64.
@@ -261,24 +261,23 @@ def _residue_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     T^j(n) = 3^a * 2^(16-j) * q + T^j(r) with a the odd steps among them.
     Per residue: j, the first step with 3^a < 2^j (16 if there is none),
     the coefficient 3^a * 2^(16-j), and T^j(r).  Every iterate before j
-    exceeds n, because 3^a > 2^i there.  Built on first use, in narrow
-    dtypes: T^i(r) < 3^16 keeps 3v + 1 inside uint32, and a <= j <= 16.
+    exceeds n, because 3^a > 2^i there.  Built on first use, in uint32,
+    which is exact: T^i(r) < 3^16 keeps 3v + 1 inside it, and so does
+    3^a <= 3^16 < 2^32.
     """
     v = np.arange(1 << _JUMP_BITS, dtype=np.uint32)
-    odd_steps = np.zeros(v.size, dtype=np.uint8)
-    pow3 = 3 ** np.arange(_JUMP_BITS + 1, dtype=np.uint64)
+    mult = np.ones_like(v)
     first = np.full(v.size, _JUMP_BITS, dtype=np.uint8)
     coef = np.zeros(v.size, dtype=np.uint64)
     t_r = np.zeros(v.size, dtype=np.uint64)
     open_ = np.ones(v.size, dtype=bool)
     for i in range(1, _JUMP_BITS + 1):
         odd, v = _t_vec(v)
-        odd_steps += odd
-        # 3^a < 2^i exactly when a is below the count of such powers;
+        mult += 2 * odd * mult
         # residues still open after the last step keep j = 16
-        hit = open_ & (odd_steps < np.count_nonzero(pow3 < 2**i)) if i < _JUMP_BITS else open_
+        hit = open_ & (mult < 2**i) if i < _JUMP_BITS else open_
         first[hit] = i
-        coef[hit] = pow3[odd_steps[hit]] << np.uint64(_JUMP_BITS - i)
+        coef[hit] = mult[hit].astype(np.uint64) << (_JUMP_BITS - i)
         t_r[hit] = v[hit]
         open_ &= ~hit
     table = first, coef, t_r
@@ -531,8 +530,8 @@ def verify_range(
     the range: the totals of [max(lo, a // 2), a + chunk_size) are kept
     for the block at a, 2 bytes each, which is about 1 byte per start of
     a sweep from 1; a total of 2^15 - 1 or more is kept exactly in a
-    dict.  ``conjlab collatz verify`` on 1..3*10^7 peaks at 63 MiB, where
-    whole-range int32 totals took it to 156 MiB; at 2 workers, 72 MiB.
+    dict.  ``conjlab collatz verify`` on 1..3*10^7 peaks at 63 MiB at 1
+    worker and 72 MiB at 2.
     Only phase 1 runs on threads, at most two blocks per worker ahead of
     phase 2, and they pay only on wide sweeps: 1..10^7 took 0.89 s at 1
     worker and 0.82 s at 2 (2 faster in 9 of 11 alternating pairs),

@@ -14,6 +14,7 @@ from conjlab.parity import (
     CONCAT_SLACK_BITS,
     CompressibilityScore,
     ParityVector,
+    Realization,
     bijection_check,
     description_length_estimate,
     estimator_overhead,
@@ -77,6 +78,10 @@ def test_realize_brute_force_small_k():
             assert r.witness == smallest
             assert r.residue == smallest
             assert r.witness % (2**k) == r.residue % (2**k)
+    # every residue in {1, ..., 2^k} comes back from its own vector
+    for k in range(13):
+        for n in range(1, 2**k + 1):
+            assert realize(parity_vector(n, k)).residue == n
 
 
 def test_realize_round_trip_random():
@@ -87,6 +92,8 @@ def test_realize_round_trip_random():
             r = realize(x)
             assert parity_vector(r.witness, k).bits == x
             assert 1 <= r.residue <= 2**k
+    for n, k in ((27, 4096), (12345678901234567890123, 200)):
+        assert realize(parity_vector(n, k)) == Realization(k=k, residue=n, witness=n)
 
 
 def test_two_adic_stability():
@@ -204,14 +211,20 @@ def test_estimator_verbatim_ceiling():
 
 
 def test_concatenation_slack():
+    # also on every vector checked against lz_reference below; the largest
+    # double - 2 * single among them all is -2, at k = 0
     rng = np.random.default_rng(25)
     cases = [
         "01" * 256,
         "0" * 500,
         "".join(str(int(b)) for b in rng.integers(0, 2, size=700)),
         parity_vector(27, 300).to_bitstring(),
+        *_STRUCTURED.values(),
+        *_random_4096(),
+        *(x for k in _SHORT_K for x in _short(k)),
     ]
     for x in cases:
+        x = ParityVector.coerce(x).bits
         single = description_length_estimate(x).estimate
         double = description_length_estimate(x + x).estimate
         assert double <= 2 * single + CONCAT_SLACK_BITS
@@ -359,11 +372,11 @@ def test_lz_codec_writes_the_estimate_short(k):
         _assert_estimate_is_a_code_length(x)
 
 
-@pytest.mark.parametrize("k", range(1, 18))
+@pytest.mark.parametrize("k", range(1, 19))
 def test_lz_code_lengths_obey_kraft(k):
     # Model bit + body over every k-bit x.  No phrase fits below k = 17,
     # so up to 16 every x is verbatim and the sum is exactly 1/2; at 17
-    # two vectors compress, and the codec writes those too.
+    # two vectors compress and at 18 eight, and the codec writes those too.
     header = estimator_overhead(k) - 1
     lengths = Counter()
     for i in range(2**k):
