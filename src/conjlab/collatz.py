@@ -30,12 +30,12 @@ range.  ``conjlab collatz verify --lo 1 --hi 30000000 --budget 100000``
 peaks at 63 MiB.
 
 The sweep is exact integer arithmetic throughout.  Starts that fit in
-64 bits are advanced in vectorized numpy blocks; any iterate that could
-overflow ``3*v + 1`` in uint64 is promoted to a plain Python integer
-mid-flight and handed back to its block as soon as it fits again, so
-results are identical to the pure-Python path bit for bit.  Promotion is
-transient: 8,192 starts from just above 2^62 take about 6 steps each in
-Python ints.
+64 bits are advanced in vectorized numpy blocks; an iterate whose step
+could overflow uint64 is promoted to a plain Python integer mid-flight
+and handed back to its block as soon as it fits again, so results are
+identical to the pure-Python path bit for bit.  Promotion is transient:
+8,192 starts from just above 2^62 take about 2.7 steps each in Python
+ints.
 
 This module is the package's only home of the map: no other module steps
 it (``parity.realize`` solves a congruence instead).  It is spelled in
@@ -85,8 +85,8 @@ __all__ = [
 # Xeon, medians of 5).
 DEFAULT_CHUNK_SIZE = 1 << 16
 
-# Largest v for which 3*v + 1 cannot wrap a uint64.
-_U64_GUARD = (2**64 - 2) // 3
+# Largest v up to which no step wraps a uint64 (odd, about 2^63.4): T(v) = 2^64 - 2.
+_U64_GUARD = (2**65 - 3) // 3
 # Largest start admitted to the numpy path at all.
 _U64_MAX_START = 2**63
 # Starts below _JUMP_LIMIT take their first up-to-16 steps in closed form
@@ -244,13 +244,13 @@ def _parities(v: int, k: int, floor: int) -> list[int]:
 def _t_vec(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(v & 1, T(v)) elementwise, in the integer dtype of ``v``.
 
-    No overflow guard: the caller keeps 3*v + 1 inside the dtype.  The
-    typed scalar ``one`` is faster than bare Python ints, which NumPy 2
-    converts on every operation.
+    T(v) = (v >> 1) + (v & 1) * (v + 1) never forms 3v + 1; the caller
+    keeps T(v) inside the dtype.  The typed scalar ``one`` is faster than
+    bare Python ints, which NumPy 2 converts on every operation.
     """
     one = v.dtype.type(1)
     odd = v & one
-    return odd, (v + odd * (v + v + one)) >> one
+    return odd, (v >> one) + odd * (v + one)
 
 
 @functools.cache
@@ -262,8 +262,7 @@ def _residue_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Per residue: j, the first step with 3^a < 2^j (16 if there is none),
     the coefficient 3^a * 2^(16-j), and T^j(r).  Every iterate before j
     exceeds n, because 3^a > 2^i there.  Built on first use, in uint32,
-    which is exact: T^i(r) < 3^16 keeps 3v + 1 inside it, and so does
-    3^a <= 3^16 < 2^32.
+    which is exact: T^i(r) < 3^16 and 3^a <= 3^16 < 2^32.
     """
     v = np.arange(1 << _JUMP_BITS, dtype=np.uint32)
     mult = np.ones_like(v)
@@ -311,8 +310,8 @@ def _descend(
     Blocks that reach 2^63 and the last few starts of a block continue in
     Python ints.  An iterate that could overflow uint64 leaves the block
     only until ``_follow_py`` has brought it back under the guard (or
-    below its threshold); it rejoins at the top of the loop, so the root,
-    link and budget checks see it before it takes another numpy step.
+    below its threshold); it takes its slot back, so the root, link and
+    budget checks see it before it takes another numpy step.
     """
     steps = np.full(offs.size, _cap(budget), dtype=np.int64)
     link = np.full(offs.size, -1, dtype=np.int64)
@@ -368,25 +367,22 @@ def _descend(
     k = 0
     while v.size:
         # near overflow: Python ints until the iterate fits again, then back
-        # into the block before the checks below see it
-        if v.size > _PY_TAIL and (up := v > guard).any():
-            back = []
-            for i, x, s, t in zip(pos[up].tolist(), v[up].tolist(),
-                                  (k0[up] + k).tolist(), thr[up].tolist()):
+        # into its slot before the checks below see it
+        if v.size > _PY_TAIL and (idx := np.flatnonzero(v > guard)).size:
+            gone = []
+            for j, x, s, t in zip(idx.tolist(), v[idx].tolist(),
+                                  (k0[idx] + k).tolist(), thr[idx].tolist()):
                 below, used, x = _follow_py(x, budget - s, max(t, _U64_GUARD + 1))
                 if below and x <= _U64_GUARD:
-                    back.append((i, x, s + used - k, t))
+                    v[j], k0[j] = x, s + used - k
                 else:  # over budget, or under t but still too wide
-                    tail.append((i, x, s + used, t))
-            keep = ~up
-            v, thr, k0, pos = v[keep], thr[keep], k0[keep], pos[keep]
-            if back:
-                i, x, s, t = zip(*back)
-                v = np.concatenate((v, np.array(x, dtype=np.uint64)))
-                thr = np.concatenate((thr, np.array(t, dtype=np.uint64)))
-                k0 = np.concatenate((k0, np.array(s, dtype=np.int64)))
-                pos = np.concatenate((pos, np.array(i, dtype=pos.dtype)))
-                k0_max = max(k0_max, max(s))
+                    tail.append((int(pos[j]), x, s + used, t))
+                    gone.append(j)
+            k0_max = max(k0_max, int(k0[idx].max()))
+            if gone:
+                keep = np.ones(v.size, dtype=bool)
+                keep[gone] = False
+                v, thr, k0, pos = v[keep], thr[keep], k0[keep], pos[keep]
         leave = v < thr
         if leave.any() or k + k0_max >= budget:
             v, thr, k0, pos = settle(v, thr, k0, pos, k, k + k0_max, leave)

@@ -186,7 +186,7 @@ def bijection_check(k: int) -> bool:
     codes one-to-one exactly when every code is marked.  uint32 is exact,
     with no wrap: for k <= 24, m and h are at most 12, and
     T^i(r) + 1 <= 1.5^i (r + 1) keeps every table iterate
-    below 1.5^12 * 2^12 = 3^12 (so 3v + 1 < 3^13) and every index
+    below 1.5^12 * 2^12 = 3^12 (so no step wraps) and every index
     3^a(r) q + T^m(r) below 2^12 * 3^12 + 1.5^12 * 2^12 < 2^32.  k is
     capped for that bound and for the 2^k-byte array.
     """

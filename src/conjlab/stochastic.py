@@ -119,8 +119,8 @@ def empirical_parity_frequency(lo: int, count: int, k: int) -> float:
     itself always counts), so the tail of fixed points never dilutes the
     estimate.  Starts run as uint64 lanes, 2^16 at a time: each step
     counts the odd lanes and drops those that reached 1.  A lane whose
-    value could overflow ``3*v + 1``, or whose start already could,
-    finishes in Python integers, so iterates may exceed 64 bits.  Odd
+    step could overflow uint64, or whose start already could, finishes
+    in Python integers, so iterates may exceed 64 bits.  Odd
     and total are exact integer counts, so the fraction is bit for bit
     the pure-Python one.
     """

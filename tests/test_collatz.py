@@ -192,10 +192,19 @@ def test_floor_one_equals_none():
     assert verify_range(1, 500, 100, floor=1).to_json() == verify_range(1, 500, 100).to_json()
 
 
+def _first_crossing():
+    # the smallest odd start whose first step lands above the uint64 guard
+    from conjlab.collatz import _U64_GUARD
+
+    p = (2 * _U64_GUARD + 3) // 3
+    assert p & 1 and step(p) > _U64_GUARD >= step(p - 2)
+    return p
+
+
 def test_uint64_promotion_matches_reference():
-    # starts straddling the 3v+1 overflow guard force mid-flight promotion
-    guard = (2**64 - 2) // 3
-    lo, hi = guard - 8, guard + 8
+    # starts whose first step crosses the uint64 guard force mid-flight promotion
+    p = _first_crossing()
+    lo, hi = p - 8, p + 8
     rep = verify_range(lo, hi, 2000)
     cand = {c.n: (c.steps_taken, c.last_iterate) for c in rep.counterexample_candidates}
     verified = 0
@@ -340,9 +349,7 @@ def test_descent_sweep_hands_promoted_iterates_back(lo, budget, floor_at):
     # blocks wider than the Python tail follow an iterate above the uint64
     # guard in Python ints only until it fits again; "top" runs into the
     # blocks at 2^63 that stay in Python ints throughout
-    from conjlab.collatz import _U64_GUARD
-
-    lo = {"guard": _U64_GUARD - 3000, "frontier": 2**62 + 401 * 2**16, "top": 2**63 - 2000}[lo]
+    lo = {"guard": _first_crossing() - 150, "frontier": 2**62 + 401 * 2**16, "top": 2**63 - 2000}[lo]
     hi = lo + 299
     floor = lo if floor_at else None
     ref = _reference_doc(lo, hi, budget, floor)
@@ -352,7 +359,7 @@ def test_descent_sweep_hands_promoted_iterates_back(lo, budget, floor_at):
 
 
 def test_promoted_iterates_leave_python_ints_once_they_fit(monkeypatch):
-    # an iterate above 2^62.4 rejoins the uint64 block within a few steps,
+    # an iterate above 2^63.4 rejoins the uint64 block within a few steps,
     # so Python ints take few of the steps of starts just above 2^62
     from conjlab import collatz
 
@@ -368,7 +375,7 @@ def test_promoted_iterates_leave_python_ints_once_they_fit(monkeypatch):
     lo = 2**62 + 401 * 2**16
     rep = verify_range(lo, lo + 2047, 10**5)
     assert rep.verified_count == 2048
-    assert sum(used) < 32 * 2048
+    assert sum(used) < 4 * 2048
 
 
 def test_residue_table_is_the_first_descent():
@@ -553,3 +560,5 @@ def test_array_step_matches_step():
         assert odd.dtype == dtype and nxt.dtype == dtype
         assert odd.tolist() == [v & 1 for v in values]
         assert nxt.tolist() == [step(v) for v in values]
+    # the guard is the largest odd value whose step fits a uint64
+    assert step(_U64_GUARD) == 2**64 - 2 and step(_U64_GUARD + 2) == 2**64 + 1

@@ -223,7 +223,7 @@ def test_empirical_parity_frequency_matches_reference_loop(lo, count):
         (2**40, 1, 40),  # reaches 1 at step 40
         (2**40, 1, 41),
         (2**62, 500, 100),  # lanes that leave mid-orbit
-        ((2 * _U64_GUARD + 1) // 3, 1, 10),  # steps onto _U64_GUARD + 1
+        ((2 * _U64_GUARD + 3) // 3, 1, 10),  # first step lands just above the guard
         (_U64_GUARD - 40, 80, 60),  # starts on both sides of the guard
         (2**64 - 50, 100, 70),  # every start past the guard
         (1, 2**16 + 5, 12),  # more than one block of lanes
