@@ -414,8 +414,8 @@ def _zeta_commands(sub, fmt) -> None:
 
     c = sub.add_parser("verify", parents=[fmt], help="sign changes vs analytic count")
     c.add_argument("--T", type=float, required=True)
-    c.add_argument("--step", type=float, default=0.05)
-    c.add_argument("--max-refinements", type=int, default=3)
+    c.add_argument("--step", type=float, default=0.05, help="checked, otherwise ignored")
+    c.add_argument("--max-refinements", type=int, default=3, help="checked, otherwise ignored")
     c.set_defaults(func=_cmd_zeta_verify)
 
 

@@ -87,8 +87,6 @@ DEFAULT_CHUNK_SIZE = 1 << 16
 
 # Largest v up to which no step wraps a uint64 (odd, about 2^63.4): T(v) = 2^64 - 2.
 _U64_GUARD = (2**65 - 3) // 3
-# Largest start admitted to the numpy path at all.
-_U64_MAX_START = 2**63
 # Starts below _JUMP_LIMIT take their first up-to-16 steps in closed form
 # from a residue mod 2^16.  T^j(n) + 1 <= (3/2)^j (n + 1), so for j <= 16
 # the closed form fits in uint64 whenever n + 1 <= 2^80 / 3^16.
@@ -307,18 +305,21 @@ def _descend(
     ``_JUMP_LIMIT`` the first up-to-16 steps are one residue-table lookup,
     and the root, link and budget checks run once on the result, so only
     the few survivors (about 3% from 1) go on together to the numpy loop.
-    Blocks that reach 2^63 and the last few starts of a block continue in
-    Python ints.  An iterate that could overflow uint64 leaves the block
-    only until ``_follow_py`` has brought it back under the guard (or
-    below its threshold); it takes its slot back, so the root, link and
-    budget checks see it before it takes another numpy step.
+    Blocks that reach past ``_U64_GUARD`` and the last few starts of a
+    block continue in Python ints.  An iterate that could overflow uint64
+    leaves the block only until ``_follow_py`` has brought it back under
+    the guard (or below its threshold); it takes its slot back, so the
+    root, link and budget checks see it before it takes another numpy
+    step.
     """
     steps = np.full(offs.size, _cap(budget), dtype=np.int64)
     link = np.full(offs.size, -1, dtype=np.int64)
     last: dict[int, int] = {}
-    # floors and link bounds above the uint64 range act as if infinite
-    ef = np.uint64(min(exit_floor, _U64_MAX_START))
-    lo_u = np.uint64(min(lo, _U64_MAX_START))
+    # Only blocks of starts up to _U64_GUARD take the numpy path, so lo
+    # stays at or below the clamp, and a floor that is clamped lies above
+    # every start: each is a root at step 0, as under the true floor.
+    ef = np.uint64(min(exit_floor, _U64_GUARD + 1))
+    lo_u = np.uint64(min(lo, _U64_GUARD + 1))
 
     def settle(v, thr, k0, pos, k, k_max, leave):
         # of the lanes under their threshold (``leave`` is v < thr), record
@@ -345,7 +346,7 @@ def _descend(
 
     tail: list[tuple[int, int, int, int]] = []  # (i, iterate, steps, threshold)
     live = []
-    if a + int(offs[-1]) >= _U64_MAX_START:
+    if a + int(offs[-1]) >= _U64_GUARD + 1:
         tail = [(i, a + o, 0, max(a + o, exit_floor)) for i, o in enumerate(offs.tolist())]
     else:
         for s in range(0, offs.size, _SUB):

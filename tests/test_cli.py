@@ -288,7 +288,7 @@ def test_zeta_refine():
 def test_zeta_verify_pinned():
     r = run("zeta", "verify", "--T", 100.0, "--step", 0.05)
     assert r.returncode == 0
-    assert r.stdout == "100.0,29,29,true,0.05\n"
+    assert r.stdout == "100.0,29,29,true,31\n"
 
 
 def test_zeta_verify_deficit_exit_1():
@@ -305,7 +305,7 @@ def test_jsonl_format():
         "sign_change_count": 29,
         "analytic_count": 29,
         "verified": True,
-        "grid_step": 0.05,
+        "z_evaluations": 31,
     }
     r = run("parity", "realize", "--bits", "111", "--format", "jsonl")
     assert json.loads(r.stdout) == {"k": 3, "residue": 7, "witness": 7}
@@ -361,11 +361,11 @@ def test_usage_errors_exit_2():
 
 # The entry point's outcomes, byte for byte: (argv, exit code, stdout, stderr).
 _ENTRY = [
-    (("zeta", "verify", "--T", 100, "--step", 0.05), 0, "100.0,29,29,true,0.05\n", ""),
+    (("zeta", "verify", "--T", 100, "--step", 0.05), 0, "100.0,29,29,true,31\n", ""),
     (
         ("zeta", "verify", "--T", 30, "--max-refinements", 1),
         1,
-        "30.0,3,4,false,0.025\n",
+        "30.0,3,4,false,260\n",
         "warning: theta(30.0)/pi + 1 = 3.564877 is within 0.3 of a half-integer; "
         "the rounded count may be off by one\n",
     ),
@@ -839,20 +839,20 @@ _GOLDEN = [
     (
         ("zeta", "verify", "--T", 100.0),
         0,
-        "100.0,29,29,true,0.05\n",
+        "100.0,29,29,true,31\n",
         (
             '{"T": 100.0, "sign_change_count": 29, "analytic_count": 29, '
-            '"verified": true, "grid_step": 0.05}\n'
+            '"verified": true, "z_evaluations": 31}\n'
         ),
         "",
     ),
     (
         ("zeta", "verify", "--T", 30.0, "--max-refinements", 1),
         1,
-        "30.0,3,4,false,0.025\n",
+        "30.0,3,4,false,260\n",
         (
             '{"T": 30.0, "sign_change_count": 3, "analytic_count": 4, '
-            '"verified": false, "grid_step": 0.025}\n'
+            '"verified": false, "z_evaluations": 260}\n'
         ),
         _NEAR_HALF,
     ),

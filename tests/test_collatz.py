@@ -331,10 +331,39 @@ def test_descent_sweep_around_residue_jump_bound(budget):
 
 
 def test_descent_sweep_crossing_the_python_path():
-    # chunks below 2^63 run in uint64 and link to nothing above; the rest run in Python ints
+    # chunks across 2^63, in uint64 as far as _U64_GUARD; each links to nothing above it
     lo, hi = 2**63 - 40, 2**63 + 40
     rep = verify_range(lo, hi, 1500, chunk_size=16)
     assert json.loads(rep.to_json()) == _reference_doc(lo, hi, 1500)
+
+
+def _u64_window(at):
+    from conjlab.collatz import _U64_GUARD
+
+    return {"2^63": 2**63 - 150, "guard": _U64_GUARD - 299, "2^63+2^20": 2**63 + 2**20}[at]
+
+
+@pytest.mark.parametrize(
+    "at,budget,floor",
+    [
+        ("2^63", 10**5, None),
+        ("guard", 10**5, None),
+        ("2^63+2^20", 60, None),
+        ("2^63+2^20", 150, None),
+        ("2^63", 10**5, 2**62),
+        ("2^63", 150, 2**63),
+        ("guard", 150, 2**64),
+        ("guard", 60, 2**63),
+    ],
+)
+def test_starts_up_to_the_guard_take_the_uint64_path(at, budget, floor):
+    # starts in [2^63, _U64_GUARD] run in uint64 like those below 2^63;
+    # the floors and link bounds are clamped just above the guard
+    lo = _u64_window(at)
+    ref = _reference_doc(lo, lo + 299, budget, floor)
+    for chunk_size in (97, 4096):
+        rep = verify_range(lo, lo + 299, budget, floor, chunk_size=chunk_size)
+        assert json.loads(rep.to_json()) == ref
 
 
 def test_floor_above_uint64_makes_every_start_a_root():
@@ -347,8 +376,8 @@ def test_floor_above_uint64_makes_every_start_a_root():
 @pytest.mark.parametrize("floor_at", [None, "lo"])
 def test_descent_sweep_hands_promoted_iterates_back(lo, budget, floor_at):
     # blocks wider than the Python tail follow an iterate above the uint64
-    # guard in Python ints only until it fits again; "top" runs into the
-    # blocks at 2^63 that stay in Python ints throughout
+    # guard in Python ints only until it fits again; "top" ends 1,700
+    # below 2^63
     lo = {"guard": _first_crossing() - 150, "frontier": 2**62 + 401 * 2**16, "top": 2**63 - 2000}[lo]
     hi = lo + 299
     floor = lo if floor_at else None
@@ -358,9 +387,9 @@ def test_descent_sweep_hands_promoted_iterates_back(lo, budget, floor_at):
         assert json.loads(rep.to_json()) == ref
 
 
-def test_promoted_iterates_leave_python_ints_once_they_fit(monkeypatch):
-    # an iterate above 2^63.4 rejoins the uint64 block within a few steps,
-    # so Python ints take few of the steps of starts just above 2^62
+@pytest.fixture
+def py_steps(monkeypatch):
+    """The steps taken in each call of collatz._follow_py, through a spy."""
     from conjlab import collatz
 
     follow = collatz._follow_py
@@ -372,10 +401,25 @@ def test_promoted_iterates_leave_python_ints_once_they_fit(monkeypatch):
         return out
 
     monkeypatch.setattr(collatz, "_follow_py", spy)
+    return used
+
+
+def test_promoted_iterates_leave_python_ints_once_they_fit(py_steps):
+    # an iterate above 2^63.4 rejoins the uint64 block within a few steps,
+    # so Python ints take few of the steps of starts just above 2^62
     lo = 2**62 + 401 * 2**16
     rep = verify_range(lo, lo + 2047, 10**5)
     assert rep.verified_count == 2048
-    assert sum(used) < 4 * 2048
+    assert sum(py_steps) < 4 * 2048
+
+
+def test_starts_above_2_63_take_few_python_int_steps(py_steps):
+    # starts up to _U64_GUARD run in uint64: about 5.7 Python-int steps per
+    # start at 2^63 + 2^20, where the all-Python path took about 340
+    lo = 2**63 + 2**20
+    rep = verify_range(lo, lo + 2047, 10**5)
+    assert rep.verified_count == 2048
+    assert sum(py_steps) < 8 * 2048
 
 
 def test_residue_table_is_the_first_descent():

@@ -186,6 +186,20 @@ def z_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def z_points(monkeypatch):
+    """Route conjlab.zeta's Z evaluations through a shim that records each
+    call's abscissae, flattened."""
+    seen = []
+
+    def recording(ts):
+        seen.append(np.array(ts, dtype=np.float64).ravel())
+        return z_values(ts)
+
+    monkeypatch.setattr(zeta, "z_values", recording)
+    return seen
+
+
 @pytest.mark.parametrize(
     "args", [(10.0, 200.0, 0.05, 1e-12), (10.0, 60.0, 0.05, 1e-9)]
 )
@@ -208,17 +222,10 @@ def test_zeros_in_one_z_call_per_halving_step(z_calls):
     assert len(z_calls) <= 1 + math.ceil(math.log2(0.05 / 1e-9))
 
 
-def test_zeros_in_evaluates_each_abscissa_once(monkeypatch):
-    seen = []
-
-    def recording(ts):
-        seen.append(np.array(ts, dtype=np.float64).ravel())
-        return z_values(ts)
-
-    monkeypatch.setattr(zeta, "z_values", recording)
+def test_zeros_in_evaluates_each_abscissa_once(z_points):
     assert len(zeros_in(10.0, 60.0, 0.05, 1e-9)) == 13
-    points = np.concatenate(seen)
-    assert (len(seen), points.size) == (27, 1339)
+    points = np.concatenate(z_points)
+    assert (len(z_points), points.size) == (27, 1339)
     assert np.unique(points).size == points.size
 
 
@@ -328,15 +335,29 @@ def test_grid_refinement_monotone():
 def test_verify_rh_at_100():
     rep = verify_rh(100.0, 0.05)
     assert rep == RHReport(
-        T=100.0, sign_change_count=29, analytic_count=29, verified=True, grid_step=0.05
+        T=100.0, sign_change_count=29, analytic_count=29, verified=True, z_evaluations=31
     )
 
 
-def test_verify_rh_refines_coarse_grid():
-    rep = verify_rh(100.0, 1.6, max_refinements=8)
-    assert rep.verified
-    assert rep.sign_change_count == 29
-    assert rep.grid_step < 1.6
+def test_verify_rh_refines_only_the_rosser_blocks_of_bad_gram_points(z_points):
+    # below 300, Gram's law fails at g_126 and g_134 only; the scan cuts the
+    # two intervals of each of their blocks into 4 and finds both zeros
+    g = zeta._gram_points(300.0)
+    zg = z_values(g)
+    bad = np.flatnonzero(np.where(np.arange(g.size) % 2 == 0, zg, -zg) <= 0.0)
+    assert bad.tolist() == [126, 134]
+    assert abs(g[134] - 295.584) < 1e-3
+    z_points.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AnalyticCountWarning)
+        rep = verify_rh(300.0)
+    assert (rep.sign_change_count, rep.analytic_count, rep.verified) == (138, 138, True)
+    first, refined = z_points
+    assert np.array_equal(first, np.concatenate(([T_MIN], g, [300.0])))
+    assert refined.size == 12 and rep.z_evaluations == 139 + 12
+    for n in (126, 134):
+        inside = refined[(g[n - 1] < refined) & (refined < g[n + 1])]
+        assert inside.size == 6 and not np.isin(inside, g).any()
 
 
 def test_verify_rh_near_count_boundary():
@@ -354,10 +375,15 @@ def test_verify_rh_domain():
         verify_rh(0.0)
     with pytest.raises(ValueError):
         verify_rh(13.9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^grid_step must be positive and finite$"):
         verify_rh(100.0, grid_step=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^max_refinements must be non-negative$"):
         verify_rh(100.0, max_refinements=-1)
+
+
+def test_verify_rh_ignores_grid_step_and_max_refinements():
+    rep = verify_rh(100.0)
+    assert verify_rh(100.0, 1.6, 0) == verify_rh(100.0, 1e-300, 10**6) == rep
 
 
 def _theta_scalar_reference(t):
@@ -460,11 +486,7 @@ def test_z_at_the_cap_and_theta_above_it_still_evaluate():
     assert theta_value(1e6).error_bound > 0
 
 
-# --- the Z kernel against its frozen reference, and grid reuse in verify_rh ---
-
-
-def _z_grid(step, T):
-    return zeta._sign_flips(T_MIN, T, step)[0]
+# --- the Z kernel against its frozen reference, and the Gram-point scan ---
 
 
 def _m_steps():
@@ -558,6 +580,8 @@ def test_phi_columns_against_the_decimal_judge():
 
 
 def _verify_rh_from_scratch(T, grid_step, max_refinements):
+    # the uniform grid that verify_rh once scanned, halved until the
+    # counts agree: (sign_change_count, analytic_count, verified)
     count = zero_count_analytic(T)
     step = grid_step
     for attempt in range(max_refinements + 1):
@@ -566,53 +590,63 @@ def _verify_rh_from_scratch(T, grid_step, max_refinements):
             break
         if attempt < max_refinements:
             step *= 0.5
-    return RHReport(
-        T=T, sign_change_count=found, analytic_count=count, verified=found == count,
-        grid_step=step,
-    )
+    return found, count, found == count
 
 
 @pytest.mark.parametrize(
     "args",
     [(30.0, 0.05, r) for r in range(4)]
-    + [(100.0, 1.6, 8), (1000.0, 0.3, 3), (8000.0, 0.2, 3), (257.3, 1.3, 4)],
+    + [(100.0, 1.6, 8), (1000.0, 0.3, 3), (8000.0, 0.2, 3), (257.3, 1.3, 4)]
+    + [(T, 0.05, 3) for T in (14.0, 20.0, 30.0, 50.0, 100.0, 257.3, 282.0, 300.0, 1000.0, 8000.0)],
 )
 def test_verify_rh_equal_to_scanning_every_grid(args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AnalyticCountWarning)
-        assert verify_rh(*args) == _verify_rh_from_scratch(*args)
+        rep = verify_rh(*args)
+        judge = _verify_rh_from_scratch(*args)
+    assert (rep.sign_change_count, rep.analytic_count, rep.verified) == judge
 
 
+# (T, refinement levels used): 30 and 282 fall short at every level
 @pytest.mark.parametrize(
-    "args, grids",
-    [((100.0, 1.6, 8), 2), ((257.3, 1.3, 4), 2), ((30.0, 0.05, 3), 4)],
+    "T, levels",
+    [(100.0, 0), (257.3, 0), (30.0, 4), (14.0, 0), (282.0, 4), (300.0, 1), (1000.0, 1),
+     (8000.0, 3)],
 )
-def test_verify_rh_evaluates_each_abscissa_once(args, grids, z_calls):
+def test_verify_rh_evaluates_each_abscissa_once(T, levels, z_points):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AnalyticCountWarning)
-        rep = verify_rh(*args)
-    calls = list(z_calls)
-    final = _z_grid(rep.grid_step, args[0])
-    assert len(calls) == grids  # one call per grid
-    assert sum(calls) == final.size
+        rep = verify_rh(T)
+    sizes = [p.size for p in z_points]
+    assert len(sizes) == 1 + levels  # the Gram points, then one call per level
+    assert sizes[0] == 2 + zeta._gram_points(T).size
+    assert sum(sizes) == rep.z_evaluations == np.unique(np.concatenate(z_points)).size
 
 
-def test_verify_rh_at_the_bench_size_evaluates_79901_points(z_calls):
+def test_verify_rh_at_the_bench_size_evaluates_12191_points(z_calls):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AnalyticCountWarning)
         rep = verify_rh(8000.0, 0.2)
-    assert (rep.grid_step, rep.verified) == (0.1, True)
-    assert z_calls == [39951, 39950]  # 119,852 points before the reuse
+    assert (rep.sign_change_count, rep.verified, rep.z_evaluations) == (7830, True, 12191)
+    # 7,830 Gram points and the ends, then 1,213, 48 and 3 intervals refined
+    assert z_calls == [7832, 3639, 576, 144]
 
 
-def test_appended_endpoint_is_reused():
-    # 90 / 1.6 and 90 / 0.8 are not integers, so both grids append T = 100
-    coarse, fine = _z_grid(1.6, 100.0), _z_grid(0.8, 100.0)
-    assert coarse[-1] == fine[-1] == 100.0 and coarse.size == 58 and fine.size == 114
-    assert not np.array_equal(fine[0 : 2 * coarse.size : 2], coarse)
-    zv = zeta._sign_flips(T_MIN, 100.0, 0.8, (coarse, np.full(coarse.size, np.inf)))[1]
-    assert np.isinf(zv).sum() == coarse.size
-    assert np.array_equal(zv[~np.isinf(zv)], z_values(fine[~np.isin(fine, coarse)]))
+@pytest.mark.parametrize("T", [14.0, 17.8, 300.0, 8000.0, 3e4])
+def test_gram_points_solve_theta(T):
+    g = zeta._gram_points(T)
+    n = np.arange(g.size)
+    assert g.size == math.floor(theta(T) / math.pi) + 1
+    assert np.all(np.diff(g) > 0.0) and (g.size == 0 or T_MIN < g[0] and g[-1] < T)
+    err = np.abs(zeta._theta(g, np.log) - math.pi * n)
+    assert np.all(err <= 6 * np.spacing(np.maximum(math.pi * n, math.pi)))
+
+
+def test_gram_points_published_values():
+    # g_126 is the first Gram point where Gram's law fails
+    g = zeta._gram_points(300.0)
+    assert abs(g[0] - 17.8455995) < 1e-6
+    assert abs(g[126] - 282.4547208) < 1e-6
 
 
 @pytest.mark.parametrize("step", [math.inf, math.nan, -math.inf, 0.0, -0.1])
@@ -631,13 +665,6 @@ def test_non_finite_grid_step_rejected_before_any_work(call, step, z_calls):
         with pytest.raises(ValueError, match="^grid_step must be positive and finite$"):
             call(step)
     assert z_calls == []
-
-
-def test_only_bit_equal_abscissae_are_reused():
-    fine = _z_grid(0.8, 100.0)
-    near = np.nextafter(fine[::2], 0.0)  # one ulp below every other point
-    zv = zeta._sign_flips(T_MIN, 100.0, 0.8, (near, np.full(near.size, np.inf)))[1]
-    assert np.array_equal(zv, z_values(fine))
 
 
 def test_grid_step_too_small_to_count_rejected(z_calls):
