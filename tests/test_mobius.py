@@ -18,6 +18,7 @@ from conjlab.mobius import (
     random_walk_compare,
 )
 
+from cli_pins import PINS, expect, in_process, observe
 from em_zeta import mertens_direct, mobius_direct
 from philox_reference import stream_bits, stream_words
 
@@ -552,14 +553,8 @@ def test_mertens_at_powers_of_ten(k, m):
 
 def test_mertens_at_powers_of_ten_through_the_cli():
     at = ",".join(str(10**k) for k in range(1, 8))
-    r = subprocess.run(
-        [sys.executable, "-m", "conjlab.cli", "mertens", "series", "--limit", str(10**7), "--at", at],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert (r.returncode, r.stderr) == (0, "")
-    assert r.stdout.splitlines() == [
-        "10,-1", "100,1", "1000,2", "10000,-23", "100000,-48", "1000000,212", "10000000,1037"
-    ]
+    (pin,) = (p for p in PINS if p.argv == f"mertens series --limit {10**7} --at {at}")
+    assert observe(pin, "csv", in_process) == expect(pin, "csv")
 
 
 @pytest.mark.parametrize("limit,count", [(10**4, 6083), (10**6, 607926)])
