@@ -352,12 +352,14 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, tol: float) -> lis
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
         f_mid = z_values(mid)
+        # a midpoint that rounds onto an end has adjacent floats for ends
+        split = (lo[live] < mid) & (mid < hi[live])
         left = f_lo[live] * f_mid < 0.0
         # an exact zero collapses its bracket onto mid = 0.5 * (mid + mid)
         hi[live] = np.where(left | (f_mid == 0.0), mid, hi[live])
         lo[live] = np.where(left, lo[live], mid)
         f_lo[live] = np.where(left, f_lo[live], f_mid)
-        live = live[hi[live] - lo[live] > tol]
+        live = live[split & (hi[live] - lo[live] > tol)]
     return (0.5 * (lo + hi)).tolist()
 
 
@@ -365,7 +367,8 @@ def refine_zero(bracket: ZeroBracket, tol: float = 1e-9) -> float:
     """Bisect to width ``tol``, one z_values call per halving step, as in zeros_in.
 
     ``tol`` bounds the width of the final bracket, not the distance to the
-    true zero; see ``zeros_in``.
+    true zero; see ``zeros_in``.  Where ``tol`` is below the float spacing,
+    the bracket stops at two adjacent floats.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -384,7 +387,8 @@ def zeros_in(
     """Scanned zeros of [t_lo, t_hi]; one z_values call per lockstep halving step.
 
     Each ordinate is the midpoint of a bracket of ``sign_changes`` bisected
-    to width ``tol``, starting from the scan's own Z values at its ends.
+    to width ``tol`` (or to two adjacent floats, where ``tol`` is below
+    their spacing), starting from the scan's own Z values at its ends.
     ``tol`` bounds that width, not the distance to the true zero, which is
     set by Z's error bound over |Z'| there: for ``zeros_in(10, 60)`` the
     first zero is 9.8e-5 from mpmath's ``zetazero(1)`` (Z's bound is

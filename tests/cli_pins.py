@@ -2,13 +2,17 @@
 
 Each row holds an argv (split on spaces), the exit status, the csv
 stdout (or ``sha256:`` and its hex digest), the jsonl stdout where one
-is pinned, and the start of stderr; an empty stderr pin means stderr is
-empty.  The jsonl run appends ``--format jsonl`` to the argv.
+is pinned, and stderr.  An ``err`` that ends in a newline pins the whole
+of stderr, an empty one pins an empty stderr, and any other pins its
+start.  The jsonl run appends ``--format jsonl`` to the argv.  Every run
+is 80 columns wide, so argparse's usage text wraps the same way on any
+terminal.
 
 ``tests/test_cli.py`` runs every row in process through ``cli.main``,
-its csv run with ``--format csv`` appended.  ``python tests/cli_pins.py``
-runs every row through the installed ``conjlab`` script, its csv run in
-the default format, names each row that differs and exits 1 if any does.
+its csv run with ``--format csv`` appended, and a few rows through
+``python -m conjlab.cli``.  ``python tests/cli_pins.py`` runs every row
+through the installed ``conjlab`` script, its csv run in the default
+format, names each row that differs and exits 1 if any does.
 
 A row whose value ROADMAP calls wrong carries a comment naming the item
 that will change it: a pin records what conjlab prints, not that it is
@@ -18,9 +22,11 @@ right.
 import contextlib
 import hashlib
 import io
+import os
 import subprocess
 import sys
 from typing import NamedTuple
+from unittest import mock
 
 from conjlab import cli
 
@@ -54,6 +60,11 @@ _VERIFY_100 = "100.0,29,29,true,31\n"
 _VERIFY_30 = "30.0,3,4,false,260\n"
 _SCAN_10_30 = "14.100000000000001,14.15\n21.0,21.05\n25.0,25.05\n"
 _REFINE_10_26 = "1,14.134822934493423\n2,21.022037183865905\n3,25.010871494933966\n"
+_FINITE = "error: t must be finite\n"
+_STEP = "error: grid_step must be positive and finite\n"
+_TINY_STEP = "error: grid_step is too small: the grid's point count overflows\n"
+_Z_RANGE = "error: t must be <= 30000; Z's error bound is calibrated only that far\n"
+_THETA_RANGE = "error: t must be <= 1e+15; the float64 spacing of theta(t)/pi reaches 1 there\n"
 
 PINS = [
     Pin(
@@ -261,6 +272,10 @@ PINS = [
     Pin("mertens growth --limit 3000000 --epsilon 0.0", 0, _GROWTH_EPS0),
     Pin("mertens growth --limit 5000000 --epsilon 0.0", 0, _GROWTH_EPS0),
     Pin("mertens growth --limit 100000000 --epsilon 0.0", 0, _GROWTH_EPS0),
+    # where n^(1/2 + epsilon) overflows, no warning reaches stderr
+    Pin("mertens growth --limit 200000 --epsilon 50", 0, "50.0,8.0422327278822955e-25,3\n"),
+    Pin("mertens growth --limit 200000 --epsilon 600", 0, "600.0,3.080963411729999e-287,3\n"),
+    Pin("mertens growth --limit 200000 --epsilon inf", 0, "inf,0.0,2\n"),
     Pin(
         "mertens compare --limit 2000 --trials 1 --seed 3", 0,
         "2000,1,1215,0.8944271909999159,1.7888543819998317,0.0,-17.0,0.0\n",
@@ -286,11 +301,18 @@ PINS = [
     Pin("mertens sieve --limit 100 --head -2", 2, "", "", "error: head must be non-negative\n"),
     Pin("mertens sieve --limit 0 --head 0", 2, "", "", "error: limit must be a positive integer\n"),
     Pin("mertens sieve --limit 0", 2, "", err="error: limit must be a positive integer\n"),
+    Pin("mertens sieve --limit 5 --head -3", 2, "", err="error: head must be non-negative\n"),
     Pin("mertens sieve --limit 3000000000 --head 4", 2, "", "", "error: limit must not exceed 2147483647\n"),
     Pin("mertens series --limit 100 --at 10,101", 2, "", "", "error: --at value 101 outside [1, 100]\n"),
     Pin("mertens series --limit 100 --at 101", 2, "", err="error: --at value 101 outside [1, 100]\n"),
     Pin("mertens series --limit 0 --at 1", 2, "", "", "error: limit must be a positive integer\n"),
     Pin("mertens growth --limit 100 --epsilon -1.0", 2, "", err="error: epsilon must be non-negative\n"),
+    Pin("mertens growth --limit 1000 --epsilon nan", 2, "", err="error: epsilon must be non-negative\n"),
+    Pin(
+        "mertens growth --limit 200000 --epsilon 1000", 2, "",
+        err="error: epsilon 1000.0 too large: 3^(1/2 + epsilon) overflows a float, so the supremum, "
+        "at n = 3, cannot be represented\n",
+    ),
     Pin("mertens compare --limit 1 --trials 5", 2, "", err="error: limit must be at least 2\n"),
     Pin("mertens compare --limit 100000000 --trials 20 --seed -1", 2, "", err=_SEED),
     Pin(
@@ -337,6 +359,8 @@ PINS = [
     # Lehmer's close pair; the ordinates carry no bound (ROADMAP item 17)
     Pin("zeta refine --lo 7005.0 --hi 7005.5", 0, "1,7005.062866177783\n2,7005.100564669445\n"),
     Pin("zeta refine --lo 10.0 --hi 14.0", 0, "", ""),
+    # --tol is below the float spacing there, 3.6e-12
+    Pin("zeta refine --lo 29000 --hi 29001 --tol 1e-12", 0, "1,29000.31225676043\n2,29000.925985179587\n"),
     Pin(
         "zeta verify --T 100.0", 0, _VERIFY_100,
         '{"T": 100.0, "sign_change_count": 29, "analytic_count": 29, "verified": true, '
@@ -355,6 +379,8 @@ PINS = [
     ),
     # the analytic count 4 is wrong, N(30) = 3 (ROADMAP item 3)
     Pin("zeta verify --T 30.0 --step 0.05 --max-refinements 1", 1, _VERIFY_30, err=_NEAR_HALF),
+    # the analytic count 4 is wrong, N(30) = 3 (ROADMAP item 3)
+    Pin("zeta verify --T 30 --max-refinements 1", 1, _VERIFY_30, err=_NEAR_HALF),
     Pin(
         "zeta verify --T 13.0", 2, "", "",
         "error: T must be >= 14 (below the first zero the report is vacuous)\n",
@@ -362,6 +388,37 @@ PINS = [
     Pin("zeta theta --t 5.0", 2, "", err="error: t must be >= 10.0; the asymptotics used here need it\n"),
     Pin("zeta z --t 9.9", 2, "", err="error: t must be >= 10.0; the asymptotics used here need it\n"),
     Pin("zeta scan --lo 30.0 --hi 10.0", 2, "", err="error: t_hi must exceed t_lo\n"),
+    Pin("zeta theta --t inf", 2, "", err=_FINITE),
+    Pin("zeta z --t inf", 2, "", err=_FINITE),
+    Pin("zeta scan --lo 20 --hi inf", 2, "", err=_FINITE),
+    Pin("zeta refine --lo 20 --hi inf", 2, "", err=_FINITE),
+    Pin("zeta count --at inf", 2, "", err=_FINITE),
+    Pin("zeta verify --T inf", 2, "", err=_FINITE),
+    Pin("zeta scan --lo 10 --hi 30 --step inf", 2, "", err=_STEP),
+    Pin("zeta scan --lo 10 --hi 30 --step nan", 2, "", err=_STEP),
+    Pin("zeta refine --lo 10 --hi 30 --step inf", 2, "", err=_STEP),
+    Pin("zeta refine --lo 10 --hi 30 --step nan", 2, "", err=_STEP),
+    Pin("zeta verify --T 100 --step inf", 2, "", err=_STEP),
+    Pin("zeta verify --T 100 --step nan", 2, "", err=_STEP),
+    Pin("zeta scan --lo 10 --hi 30000 --step 1e-310", 2, "", err=_TINY_STEP),
+    Pin("zeta scan --lo 10 --hi 30000 --step 5e-324", 2, "", err=_TINY_STEP),
+    # 3e16 grid points: numpy refuses the 213 PiB at once and allocates nothing
+    Pin(
+        "zeta scan --lo 10 --hi 30000 --step 1e-12", 2, "",
+        err="error: Unable to allocate 213. PiB for an array with shape (29990000000000000,) "
+        "and data type float64\n",
+    ),
+    Pin("zeta z --t 1e300", 2, "", err=_Z_RANGE),
+    Pin("zeta scan --lo 20 --hi 4e4", 2, "", err=_Z_RANGE),
+    Pin("zeta refine --lo 20 --hi 4e4", 2, "", err=_Z_RANGE),
+    Pin("zeta verify --T 4e4", 2, "", err=_Z_RANGE),
+    Pin("zeta theta --t 1e100", 2, "", err=_THETA_RANGE),
+    Pin("zeta count --at 1e200", 2, "", err=_THETA_RANGE),
+    Pin(
+        "zeta theta", 2, "",
+        err="usage: conjlab zeta theta [-h] [--format {csv,jsonl}] --t T\n"
+        "conjlab zeta theta: error: the following arguments are required: --t\n",
+    ),
     Pin("zeta nonsense", 2, "", "", "usage:"),
     Pin("zeta unknowncmd", 2, "", err="usage: conjlab zeta "),
     Pin("nonsense", 2, "", err="usage: conjlab "),
@@ -371,11 +428,13 @@ PINS = [
 def observe(pin: Pin, fmt: str, run) -> tuple:
     """(status, stdout, stderr) of one run of ``pin`` in ``fmt``, in the pin's
     terms: stdout as its digest where the pin holds one, stderr cut to the
-    length of a non-empty pin.  Equal to ``expect(pin, fmt)`` when it holds."""
+    length of a pin that is neither empty nor ends in a newline.  Equal to
+    ``expect(pin, fmt)`` when it holds."""
     status, out, err = run(pin.argv.split() + (["--format", "jsonl"] if fmt == "jsonl" else []))
     if expect(pin, fmt)[1].startswith("sha256:"):
         out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
-    return status, out, err[: len(pin.err)] if pin.err else err
+    whole = pin.err.endswith("\n") or not pin.err
+    return status, out, err if whole else err[: len(pin.err)]
 
 
 def expect(pin: Pin, fmt: str) -> tuple:
@@ -398,7 +457,11 @@ REALIZED = (0, "4096,27,27\n")
 
 def in_process(argv: list[str]) -> tuple:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+        mock.patch.dict(os.environ, COLUMNS="80"),
+    ):
         try:
             status = cli.main(argv)
         except SystemExit as e:  # argparse: --version, usage errors
@@ -406,9 +469,18 @@ def in_process(argv: list[str]) -> tuple:
     return status, out.getvalue(), err.getvalue()
 
 
-def installed(argv: list[str]) -> tuple:
-    r = subprocess.run(["conjlab", *argv], capture_output=True, text=True, timeout=300)
-    return r.returncode, r.stdout, r.stderr
+def child(command: list[str]):
+    """A runner like ``in_process`` that runs ``command`` + argv as a child, 80 columns wide."""
+
+    def run(argv: list[str]) -> tuple:
+        env = {**os.environ, "COLUMNS": "80"}
+        r = subprocess.run(command + argv, capture_output=True, text=True, timeout=300, env=env)
+        return r.returncode, r.stdout, r.stderr
+
+    return run
+
+
+installed = child(["conjlab"])
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from conjlab.mobius import (
     random_walk_compare,
 )
 
-from cli_pins import PINS, expect, in_process, observe
 from em_zeta import mertens_direct, mobius_direct
 from philox_reference import stream_bits, stream_words
 
@@ -549,12 +548,6 @@ _WHEEL = 44100  # 2^2 3^2 5^2 7^2, the period of the 2, 3, 5, 7 pattern
 def test_mertens_at_powers_of_ten(k, m):
     # OEIS A084237
     assert mertens(10**k).partial_sums[10**k] == m
-
-
-def test_mertens_at_powers_of_ten_through_the_cli():
-    at = ",".join(str(10**k) for k in range(1, 8))
-    (pin,) = (p for p in PINS if p.argv == f"mertens series --limit {10**7} --at {at}")
-    assert observe(pin, "csv", in_process) == expect(pin, "csv")
 
 
 @pytest.mark.parametrize("limit,count", [(10**4, 6083), (10**6, 607926)])

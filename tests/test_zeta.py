@@ -1,4 +1,7 @@
+import ast
 import math
+import subprocess
+import sys
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -213,6 +216,23 @@ def test_zeros_in_matches_scalar_bisection(args):
 )
 def test_refine_zero_matches_scalar_bisection(bracket):
     assert refine_zero(bracket, tol=1e-6) == _refine_zero_scalar(bracket, 1e-6)
+
+
+@pytest.mark.parametrize(
+    "call,count",
+    [("[refine_zero(ZeroBracket(14.1, 14.2), tol=1e-16)]", 1), ("zeros_in(29000.0, 29001.0, tol=1e-12)", 2)],
+)
+def test_bisection_below_the_float_spacing_stops_at_adjacent_floats(call, count):
+    # in a child, so that a bisection that never ends fails here instead of hanging
+    code = f"from conjlab.zeta import *; print({call})"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    zs = ast.literal_eval(r.stdout)
+    assert len(zs) == count
+    for t in zs:
+        # Z changes sign between t and one of its neighbours: the last bracket's ends
+        z = z_values(np.array([np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)]))
+        assert z[0] * z[1] <= 0.0 or z[1] * z[2] <= 0.0, t
 
 
 def test_zeros_in_one_z_call_per_halving_step(z_calls):
