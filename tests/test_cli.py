@@ -14,6 +14,17 @@ _PINS = {p.argv: p for p in PINS}
 BANNER = _PINS["--version"].csv
 
 
+def test_version_banner():
+    # the pinned banner names what the library modules run, so a change of
+    # estimator or Z correction cannot leave the banner behind
+    from conjlab import __version__, parity, zeta
+
+    assert observe(_PINS["--version"], "csv", in_process) == expect(_PINS["--version"], "csv")
+    assert BANNER.startswith(f"conjlab {__version__} (")
+    assert f"estimator={parity.ESTIMATOR_ID};" in BANNER
+    assert f"riemann-siegel-correction=C{zeta.Z_CORRECTION_ORDER};" in BANNER
+
+
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
 def test_version_banner_is_one_line_at_any_width(columns):
     r = subprocess.run(
