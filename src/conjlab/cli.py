@@ -12,7 +12,7 @@ mismatch), 2 usage or domain error.
 """
 
 import argparse
-import dataclasses
+import math
 import os
 import sys
 import warnings
@@ -51,6 +51,12 @@ def _fmt(v) -> str:
     return str(v)  # str of a float is its repr
 
 
+def _json(v):
+    # JSON has no inf or nan: a non-finite float is written as a string of
+    # its csv text
+    return str(v) if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _emit(fields: tuple[str, ...], rows, fmt: str) -> None:
     if fmt == "jsonl":
         import json
@@ -58,12 +64,14 @@ def _emit(fields: tuple[str, ...], rows, fmt: str) -> None:
         if fmt == "csv":
             print(",".join(_fmt(v) for v in row))
         else:
-            print(json.dumps(dict(zip(fields, row))))
+            print(json.dumps({f: _json(v) for f, v in zip(fields, row)}, allow_nan=False))
 
 
 def _records(recs, fmt: str, names=None) -> None:
     """One row per dataclass record, its fields in declaration order; ``names``
     renames the leading fields by position and keeps only that many."""
+    import dataclasses
+
     for rec in recs:
         fields = tuple(f.name for f in dataclasses.fields(rec))
         keys = names or fields
@@ -243,6 +251,8 @@ def _cmd_mertens_growth(args) -> int:
 
 
 def _cmd_mertens_compare(args) -> int:
+    import dataclasses
+
     from .mobius import random_walk_compare
 
     c = random_walk_compare(args.limit, args.trials, args.seed, workers=args.workers)

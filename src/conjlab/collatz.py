@@ -17,17 +17,19 @@ The sweep never re-walks an orbit it has already finished.  Each start
 n is followed only until it reaches the floor, or descends onto a
 smaller start of the same sweep (a descent link); the first up-to-16
 steps of most starts come in closed form from a table over the residues
-mod 2^16, and about 97% of those residues descend within them.  Each
-block of starts is resolved, in ascending order, once its descent ends:
-a start's total is its own steps plus the total of the start it links
-to, so every reported count is still the exact total stopping time
-(steps to the floor, when one is given), and no start ever links to one
-that is not yet resolved.  The step onto a link target is a halving, so
-the target of n lies in [n/2, n), and the totals are kept only from half
-the current block upward, in int16 with the rare wider one in a dict:
-about 1 byte per start of a sweep from 1, 2 when lo is large against the
-range.  ``conjlab collatz verify --lo 1 --hi 30000000 --budget 100000``
-peaks at 63 MiB.
+mod 2^16, and about 97% of those residues descend within them; the
+others go on through the same table, one first descent at a time.  Each
+block of starts is resolved, in range order, once its descent ends: a
+start's total is its own steps plus the total of the start it links to,
+read back from earlier blocks, or summed along the chain by pointer
+jumping when the link stays inside the block, so every reported count
+is still the exact total stopping time (steps to the floor, when one is
+given).  The step onto a link target is a halving, so the target of n
+lies in [n/2, n), and the totals are kept only from half the current
+block upward, in int16 with the rare wider one in a dict: about 1 byte
+per start of a sweep from 1, 2 when lo is large against the range.
+``conjlab collatz verify --lo 1 --hi 30000000 --budget 100000`` peaks at
+62 MiB.
 
 The sweep is exact integer arithmetic throughout.  Starts that fit in
 64 bits are advanced in vectorized numpy blocks; an iterate whose step
@@ -79,15 +81,15 @@ __all__ = [
 # Starts per block: one phase-1 task, resolved at once in phase 2.  The
 # block's steps and links (16 B per start) and phase 2's temporaries are
 # the sweep's fixed working set, about 3 MiB at 2^16; the totals window
-# adds about 1 B per start of the range (1..3*10^7 through the CLI: 63 MiB).
+# adds about 1 B per start of the range (1..3*10^7 through the CLI: 62 MiB).
 # Smaller blocks are slower, since each runs its own straggler loop and
-# Python tail: 1..10^7 took 1.45 s at 2^13 against 1.06 s at 2^16 (2-vCPU
-# Xeon, medians of 5).
+# Python tail: 1..10^7 took 0.99 s at 2^13 against 0.63 s at 2^16 (2-vCPU
+# Xeon, medians of 7).
 DEFAULT_CHUNK_SIZE = 1 << 16
 
 # Largest v up to which no step wraps a uint64 (odd, about 2^63.4): T(v) = 2^64 - 2.
 _U64_GUARD = (2**65 - 3) // 3
-# Starts below _JUMP_LIMIT take their first up-to-16 steps in closed form
+# Iterates below _JUMP_LIMIT take their next up-to-16 steps in closed form
 # from a residue mod 2^16.  T^j(n) + 1 <= (3/2)^j (n + 1), so for j <= 16
 # the closed form fits in uint64 whenever n + 1 <= 2^80 / 3^16.
 _JUMP_BITS = 16
@@ -251,6 +253,21 @@ def _t_vec(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return odd, (v >> one) + odd * (v + one)
 
 
+def _first_descent(v: np.ndarray, mult: np.ndarray, first: np.ndarray, steps: range):
+    """Take ``steps`` of the residues v, where ``mult`` is 3^a for the a
+    odd steps before them, and stop each at the first step i with
+    3^a < 2^i: ``first`` counts the steps taken.  Returns v, mult and
+    first at the stop, and the lanes that have not stopped."""
+    open_ = np.ones(v.size, dtype=bool)
+    for i in steps:
+        odd, w = _t_vec(v)
+        v = np.where(open_, w, v)
+        mult += 2 * (odd & open_) * mult
+        first += open_
+        open_ &= mult >= 2**i
+    return v, mult, first, open_
+
+
 @functools.cache
 def _residue_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form first descent of every residue r mod 2^16.
@@ -259,25 +276,24 @@ def _residue_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     T^j(n) = 3^a * 2^(16-j) * q + T^j(r) with a the odd steps among them.
     Per residue: j, the first step with 3^a < 2^j (16 if there is none),
     the coefficient 3^a * 2^(16-j), and T^j(r).  Every iterate before j
-    exceeds n, because 3^a > 2^i there.  Built on first use, in uint32,
-    which is exact: T^i(r) < 3^16 and 3^a <= 3^16 < 2^32.
+    exceeds n, because 3^a > 2^i there.  Built on first use, in uint64
+    (exact: T^i(r) < 3^16), from the residues l mod 2^8: the first 8
+    steps of r = h * 2^8 + l follow l, so T^j(r) = 3^a * 2^(8-j) * h +
+    T^j(l) for j <= 8, and only the 4,864 residues still open after 8
+    steps (19 of the 256 l) take steps 9 to 16, from T^8(r).
     """
-    v = np.arange(1 << _JUMP_BITS, dtype=np.uint32)
-    mult = np.ones_like(v)
-    first = np.full(v.size, _JUMP_BITS, dtype=np.uint8)
-    coef = np.zeros(v.size, dtype=np.uint64)
-    t_r = np.zeros(v.size, dtype=np.uint64)
-    open_ = np.ones(v.size, dtype=bool)
-    for i in range(1, _JUMP_BITS + 1):
-        odd, v = _t_vec(v)
-        mult += 2 * odd * mult
-        # residues still open after the last step keep j = 16
-        hit = open_ & (mult < 2**i) if i < _JUMP_BITS else open_
-        first[hit] = i
-        coef[hit] = mult[hit].astype(np.uint64) << (_JUMP_BITS - i)
-        t_r[hit] = v[hit]
-        open_ &= ~hit
-    table = first, coef, t_r
+    half = _JUMP_BITS // 2
+    low = np.arange(1 << half, dtype=np.uint64)
+    t_l, mult, first, open_ = _first_descent(
+        low, np.ones_like(low), np.zeros(low.size, dtype=np.uint8), range(1, half + 1)
+    )
+    # r = h * 2^8 + l sits in row h, column l
+    t_r = (low[:, None] * (mult << (half - first)) + t_l).ravel()
+    mult, first, open_ = (np.tile(x, low.size) for x in (mult, first, open_))
+    at = np.flatnonzero(open_)
+    steps = range(half + 1, _JUMP_BITS + 1)
+    t_r[at], mult[at], first[at], _ = _first_descent(t_r[at], mult[at], first[at], steps)
+    table = first, mult << (_JUMP_BITS - first), t_r
     for column in table:
         column.setflags(write=False)  # one cached copy serves every sweep
     return table
@@ -301,10 +317,16 @@ def _descend(
     gets ``steps[i] = _cap(budget)``, link -1, and its iterate after
     ``budget`` steps in ``last[i]``.  ``offs`` is ascending.
 
-    The first descent is taken ``_SUB`` starts at a time: below
-    ``_JUMP_LIMIT`` the first up-to-16 steps are one residue-table lookup,
-    and the root, link and budget checks run once on the result, so only
-    the few survivors (about 3% from 1) go on together to the numpy loop.
+    The first descent is taken ``_SUB`` starts at a time: in a block below
+    ``_JUMP_LIMIT`` the first up-to-16 steps are one residue-table lookup
+    (``take`` on intp residues), the root and link checks run once on the
+    result and write steps and links as slices, and only the few survivors
+    (about 3% from 1) are gathered, to go on together to the numpy loop.
+    There, too, each round is one lookup, to the first iterate below each
+    lane's value, while every lane is under ``_JUMP_LIMIT`` and 16 more
+    steps fit the budget; else it is one step.  Either way the checks see
+    every iterate that could be under a threshold, since a lane's
+    threshold is at most its value.
     Blocks that reach past ``_U64_GUARD`` and the last few starts of a
     block continue in Python ints.  An iterate that could overflow uint64
     leaves the block only until ``_follow_py`` has brought it back under
@@ -346,22 +368,31 @@ def _descend(
 
     tail: list[tuple[int, int, int, int]] = []  # (i, iterate, steps, threshold)
     live = []
-    if a + int(offs[-1]) >= _U64_GUARD + 1:
+    end = a + int(offs[-1])
+    if table := end < _JUMP_LIMIT:
+        first, coef, t_r = _residue_table()
+    if end >= _U64_GUARD + 1:
         tail = [(i, a + o, 0, max(a + o, exit_floor)) for i, o in enumerate(offs.tolist())]
     else:
+        lk = max(lo_u, ef)
         for s in range(0, offs.size, _SUB):
             n = offs[s : s + _SUB].astype(np.uint64) + np.uint64(a)
-            v, k0 = n, np.zeros(n.size, dtype=np.int64)
-            if a < _JUMP_LIMIT:
-                first, coef, t_r = _residue_table()
-                r = n & np.uint64(_JUMP_MASK)
-                j = first[r]
-                jump = (n >= ef) & (n < np.uint64(_JUMP_LIMIT)) & (j <= budget)
-                v = np.where(jump, coef[r] * (n >> np.uint64(_JUMP_BITS)) + t_r[r], n)
-                k0 = np.where(jump, j, 0).astype(np.int64)
-                del r, j, jump
-            thr = np.maximum(n, ef)
-            live.append(settle(v, thr, k0, np.arange(s, s + n.size), 0, int(k0.max()), v < thr))
+            v, j = n, np.zeros(n.size, dtype=np.uint8)
+            if table:
+                r = (n & np.uint64(_JUMP_MASK)).view(np.intp)
+                j = first.take(r)
+                # no table step for a root, or past the budget
+                j *= (j <= min(budget, _JUMP_BITS)) & (n >= ef)
+                v = np.where(j > 0, coef.take(r) * (n >> np.uint64(_JUMP_BITS)) + t_r.take(r), n)
+            linked = (v >= lk) & (v < n)
+            np.copyto(link[s : s + _SUB], (v - lo_u).view(np.int64), where=linked)
+            linked |= v < ef
+            np.copyto(steps[s : s + _SUB], j, where=linked)
+            # the survivors: still above n, fallen under lo (followed on
+            # to the floor), or not stepped
+            i = np.flatnonzero(~linked)
+            v, n = v[i], n[i]
+            live.append((v, np.where(v < n, ef, n), j[i].astype(np.int64), i + s))
     v, thr, k0, pos = map(np.concatenate, zip(*live)) if live else (offs[:0],) * 4
     guard = np.uint64(_U64_GUARD)
     k0_max = int(k0.max(initial=0))
@@ -391,7 +422,15 @@ def _descend(
             # too few left for numpy to pay: Python ints to the end
             tail += zip(pos.tolist(), v.tolist(), (k0 + k).tolist(), thr.tolist())
             break
-        v = _t_vec(v)[1]
+        if table and k + k0_max + _JUMP_BITS <= budget and v.max() < _JUMP_LIMIT:
+            # to the first iterate below v: none before it is under its
+            # threshold, which is at most v
+            r = (v & np.uint64(_JUMP_MASK)).view(np.intp)
+            k0 += first.take(r) - 1
+            v = coef.take(r) * (v >> np.uint64(_JUMP_BITS)) + t_r.take(r)
+            k0_max += _JUMP_BITS - 1
+        else:
+            v = _t_vec(v)[1]
         k += 1
 
     for i, x, s, t in tail:
@@ -433,16 +472,15 @@ class _Totals:
             self.base = w
             self.wide = {i: t for i, t in self.wide.items() if i >= w}
 
-    def take(self, idx: np.ndarray) -> np.ndarray:
-        """Totals at the indices ``idx``, which it overwrites: int16, or
-        int64 when one of them is wide."""
-        idx -= self.base
-        t = self.buf[idx]
+    def add(self, total: np.ndarray, idx: np.ndarray, where: np.ndarray) -> None:
+        """Add the totals at the indices ``idx`` to ``total`` where ``where``
+        holds; elsewhere ``idx`` may be anything."""
+        t = self.buf.take(idx - self.base, mode="clip")
+        t *= where
+        total += t
         wide = np.flatnonzero(t == _WIDE)
         if wide.size:
-            t = t.astype(np.int64)
-            t[wide] = [self.wide[i] for i in (idx[wide] + self.base).tolist()]
-        return t
+            total[wide] += [self.wide[i] - _WIDE for i in idx[wide].tolist()]
 
     def put(self, i: int, total: np.ndarray) -> None:
         """Store the totals from index i on."""
@@ -459,26 +497,36 @@ def _resolve_chunk(
     ``total`` and ``tgt`` are the chunk's steps and links from
     ``_descend``; ``total`` is summed in place and stored in ``totals``,
     which must hold each start from max(lo, a // 2) up to a already.  A
-    start's total is its own steps plus its link target's total; a total
-    over the budget makes the start a candidate, whose last iterate is
-    recomputed with links switched off.  Returns (verified_count,
-    max_steps_among_verified, candidates).
+    start's total is its own steps plus its link target's total: one
+    ``take`` from ``totals`` for the links below the chunk, then pointer
+    jumping for those inside it, a batch of ``_SUB`` links at a time in
+    ascending order, each round halving the unsummed part of every chain
+    (the first chunk of a sweep from 1 nests links 28 deep: its four
+    batches take 5, 3, 3 and 2 rounds, where one round per level took
+    28).  A total over the budget makes the start a candidate, whose last
+    iterate is recomputed with links switched off.  Returns
+    (verified_count, max_steps_among_verified, candidates).
     """
     cap = _cap(budget)
-    # links into this chunk wait until their target is resolved
-    waiting = tgt >= a - lo
-    earlier = ~waiting & (tgt >= 0)
-    total[earlier] += totals.take(tgt[earlier])
+    base = a - lo
+    # links below the chunk (a root's -1 reads as 2^64 - 1)
+    totals.add(total, tgt, tgt.view(np.uint64) < np.uint64(base))
     np.minimum(total, cap, out=total)
-    pending = np.flatnonzero(waiting)
-    while pending.size:
-        t = tgt[pending] - (a - lo)
-        ready = ~waiting[t]
-        idx = pending[ready]
-        total[idx] = np.minimum(total[idx] + total[t[ready]], cap)
-        waiting[idx] = False
-        pending = pending[~ready]
-    totals.put(a - lo, total)
+    # links into the chunk: pointer jumping, _SUB links at a time in
+    # ascending order, so every target below a batch is final
+    up = tgt - base
+    inner = np.flatnonzero(up >= 0)
+    for s in range(0, inner.size, _SUB):
+        i = inner[s : s + _SUB]
+        p = up[i]
+        while i.size:
+            # each start adds its target's partial sum and takes on its
+            # target's link, doubling the part of its chain it has summed
+            total[i] = np.minimum(total[i] + total[p], cap)
+            up[i] = p = up[p]
+            keep = p >= 0
+            i, p = i[keep], p[keep]
+    totals.put(base, total)
 
     over = np.flatnonzero(total == cap)
     cands = []
@@ -512,12 +560,13 @@ def verify_range(
     The sweep runs in two phases.  Phase 1 follows each start n only until
     it reaches the floor (a root) or an iterate in [lo, n) (a descent link
     to that smaller start), taking the first up-to-16 steps of most starts
-    from a residue table mod 2^16.  Phase 2 walks the starts in ascending
-    order and adds each link target's total to the start's own steps, so
-    every reported step count is still the exact number of steps to the
-    floor: the total stopping time when there is no floor.  A start whose
-    total exceeds the budget is a candidate, and its last iterate is
-    recomputed from the start.
+    from a residue table mod 2^16.  Phase 2 adds each link target's total
+    to the start's own steps, reading targets in earlier blocks back and
+    summing chains inside a block by pointer jumping, so every reported
+    step count is still the exact number of steps to the floor: the total
+    stopping time when there is no floor.  A start whose total exceeds the
+    budget is a candidate, and its last iterate is recomputed from the
+    start.
 
     The range is cut into fixed ``chunk_size`` blocks whose boundaries do
     not depend on ``workers``.  Phase 1 maps the blocks over ``workers``
@@ -527,14 +576,15 @@ def verify_range(
     the range: the totals of [max(lo, a // 2), a + chunk_size) are kept
     for the block at a, 2 bytes each, which is about 1 byte per start of
     a sweep from 1; a total of 2^15 - 1 or more is kept exactly in a
-    dict.  ``conjlab collatz verify`` on 1..3*10^7 peaks at 63 MiB at 1
-    worker and 72 MiB at 2.
+    dict.  ``conjlab collatz verify`` on 1..3*10^7 peaks at 62 MiB at 1
+    worker and 71 MiB at 2.
     Only phase 1 runs on threads, at most two blocks per worker ahead of
-    phase 2, and they pay only on wide sweeps: 1..10^7 took 0.89 s at 1
-    worker and 0.82 s at 2 (2 faster in 9 of 11 alternating pairs),
-    1..3*10^7 2.77 s and 2.43 s (8 of 9), 1..5*10^5 0.07 s and 0.08 s
-    (1 faster in 6 of 7), and 8,192 starts from 2^62 (one chunk) run
-    serially at either (2-vCPU Xeon, medians).
+    phase 2, and with both phases down to a few numpy calls per block
+    they no longer pay: as CLI children, 1..10^7 took 0.56 s at 1 worker
+    and 0.68 s at 2 (1 faster in 9 of 9 alternating pairs), 1..3*10^7
+    1.54 s and 2.04 s (7 of 7), 1..5*10^5 0.16 s and 0.19 s (9 of 9), and
+    8,192 starts from 2^62 (one chunk) run serially at either (2-vCPU
+    Xeon, Python 3.11, medians).
     """
     if lo < 1:
         raise ValueError("lo must be a positive integer")

@@ -104,6 +104,9 @@ _Z_T_MAX = 3e4  # _Z_ERR_COEFF is checked against mpmath up to here
 # theta(t)/pi >= 2^52 from here on, where float64 spacing reaches 1
 _THETA_T_MAX = 1e15
 _HALF_WARN_BAND = 0.3
+# The most points a sign scan lays out at its step (the end point t_hi may
+# add one): the grid and its Z values take 16 bytes a point, 256 MiB here.
+_GRID_MAX = 1 << 24
 
 
 class AnalyticCountWarning(UserWarning):
@@ -329,7 +332,8 @@ def _sign_flips(
     t_lo: float, t_hi: float, grid_step: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The grid ts of ``sign_changes``, Z on it in one z_values call, and
-    the indices i at which Z changes sign on [ts[i], ts[i + 1]]."""
+    the indices i at which Z changes sign on [ts[i], ts[i + 1]].  A grid
+    of more than ``_GRID_MAX`` points is rejected before it is built."""
     _check_t(t_lo)
     if not t_hi > t_lo:
         raise ValueError("t_hi must exceed t_lo")
@@ -338,7 +342,13 @@ def _sign_flips(
     steps = (t_hi - t_lo) / grid_step
     if steps == math.inf:
         raise ValueError("grid_step is too small: the grid's point count overflows")
-    ts = t_lo + grid_step * np.arange(int(math.floor(steps + 1e-9)) + 1, dtype=np.float64)
+    points = int(math.floor(steps + 1e-9)) + 1
+    if points > _GRID_MAX:
+        raise ValueError(
+            f"grid_step is too small: the grid would hold {points} points, "
+            f"more than {_GRID_MAX}"
+        )
+    ts = t_lo + grid_step * np.arange(points, dtype=np.float64)
     if ts[-1] < t_hi - 1e-12 * max(1.0, abs(t_hi)):
         ts = np.append(ts, t_hi)
     zv = z_values(ts)

@@ -275,7 +275,11 @@ PINS = [
     # where n^(1/2 + epsilon) overflows, no warning reaches stderr
     Pin("mertens growth --limit 200000 --epsilon 50", 0, "50.0,8.0422327278822955e-25,3\n"),
     Pin("mertens growth --limit 200000 --epsilon 600", 0, "600.0,3.080963411729999e-287,3\n"),
-    Pin("mertens growth --limit 200000 --epsilon inf", 0, "inf,0.0,2\n"),
+    # JSON has no Infinity: the jsonl line writes the csv text as a string
+    Pin(
+        "mertens growth --limit 200000 --epsilon inf", 0, "inf,0.0,2\n",
+        '{"epsilon": "inf", "sup": 0.0, "argmax": 2}\n',
+    ),
     Pin(
         "mertens compare --limit 2000 --trials 1 --seed 3", 0,
         "2000,1,1215,0.8944271909999159,1.7888543819998317,0.0,-17.0,0.0\n",
@@ -402,11 +406,16 @@ PINS = [
     Pin("zeta verify --T 100 --step nan", 2, "", err=_STEP),
     Pin("zeta scan --lo 10 --hi 30000 --step 1e-310", 2, "", err=_TINY_STEP),
     Pin("zeta scan --lo 10 --hi 30000 --step 5e-324", 2, "", err=_TINY_STEP),
-    # 3e16 grid points: numpy refuses the 213 PiB at once and allocates nothing
+    # grids past 2^24 points are refused before any array is built
     Pin(
         "zeta scan --lo 10 --hi 30000 --step 1e-12", 2, "",
-        err="error: Unable to allocate 213. PiB for an array with shape (29990000000000000,) "
-        "and data type float64\n",
+        err="error: grid_step is too small: the grid would hold 29990000000000001 points, "
+        "more than 16777216\n",
+    ),
+    Pin(
+        "zeta scan --lo 10 --hi 30000 --step 1e-5", 2, "",
+        err="error: grid_step is too small: the grid would hold 2999000000 points, "
+        "more than 16777216\n",
     ),
     Pin("zeta z --t 1e300", 2, "", err=_Z_RANGE),
     Pin("zeta scan --lo 20 --hi 4e4", 2, "", err=_Z_RANGE),

@@ -1,4 +1,5 @@
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -56,14 +57,16 @@ def test_import_conjlab_loads_no_module_and_no_numpy():
 
 
 def test_version_loads_no_module_and_no_numpy():
+    # nor dataclasses, which only the record printers import
     code = (
         "import contextlib, io, sys, conjlab.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.suppress(SystemExit):\n"
         "    conjlab.cli.main(['--version'])\n"
         "assert out.getvalue().startswith('conjlab '), out.getvalue()\n"
-        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith(('numpy.', 'conjlab.'))))"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith(('numpy.', 'conjlab.'))))\n"
+        "print('dataclasses' in sys.modules)"
     )
-    assert _child(code) == "['conjlab.cli']\n"
+    assert _child(code) == "['conjlab.cli']\nFalse\n"
 
 
 @pytest.mark.parametrize(
@@ -115,6 +118,19 @@ def _format_named(argv):
 @pytest.mark.parametrize("pin,fmt", _CASES, ids=[f"{p.argv}-{f}" for p, f in _CASES])
 def test_golden_stdout(pin, fmt):
     assert observe(pin, fmt, _format_named) == expect(pin, fmt)
+
+
+def test_pinned_jsonl_is_strict_json():
+    # RFC 8259 has no Infinity or NaN; json.loads reads them only through
+    # parse_constant
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    lines = [line for p in PINS if p.jsonl and not p.jsonl.startswith("sha256:")
+             for line in p.jsonl.splitlines()]
+    assert '{"epsilon": "inf", "sup": 0.0, "argmax": 2}' in lines
+    for line in lines:
+        json.loads(line, parse_constant=reject)
 
 
 def test_extracted_parity_vector_realizes_its_start():

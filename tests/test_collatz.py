@@ -426,6 +426,19 @@ def test_residue_table_is_the_first_descent():
     from conjlab.collatz import _residue_table
 
     first, coef, t_r = _residue_table()
+    assert (first.dtype, coef.dtype, t_r.dtype) == (np.uint8, np.uint64, np.uint64)
+    # every residue against its first descent, one step at a time
+    want = []
+    for r in range(2**16):
+        v, mult, j = r, 1, 16
+        for i in range(1, 17):
+            mult *= 3 if v & 1 else 1
+            v = step(v) if v else 0
+            if mult < 2**i:
+                j = i
+                break
+        want.append((j, mult << (16 - j), v))
+    assert list(zip(first.tolist(), coef.tolist(), t_r.tolist())) == want
     rng = np.random.default_rng(13)
     for r in rng.integers(0, 2**16, size=300).tolist():
         j = int(first[r])
@@ -508,6 +521,24 @@ def test_window_slides_over_many_chunks(budget):
         ref = _reference_doc(lo, hi, budget, floor)
         rep = verify_range(lo, hi, budget, floor, chunk_size=97)
         assert json.loads(rep.to_json()) == ref
+
+
+@pytest.mark.parametrize("budget", [60, 10**5])
+def test_one_chunk_holds_every_link_chain(budget):
+    # from 1, every link of 1..20000 lands in the one chunk: phase 2
+    # resolves chains up to 24 links long inside it
+    rep = verify_range(1, 20000, budget, chunk_size=2**16)
+    assert rep.chunk_count == 1
+    assert json.loads(rep.to_json()) == _reference_doc(1, 20000, budget)
+
+
+def test_straggler_jumps_stop_at_the_jump_limit():
+    # the block lies under _JUMP_LIMIT but its orbits, bound for the root,
+    # climb past it, where a table jump would wrap uint64
+    from conjlab.collatz import _JUMP_LIMIT
+
+    lo, hi = _JUMP_LIMIT - 4096, _JUMP_LIMIT - 1
+    assert json.loads(verify_range(lo, hi, 10**5).to_json()) == _reference_doc(lo, hi, 10**5)
 
 
 @pytest.mark.parametrize("budget", [40, 1000])

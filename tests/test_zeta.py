@@ -692,3 +692,17 @@ def test_grid_step_too_small_to_count_rejected(z_calls):
     with pytest.raises(ValueError, match="grid_step is too small"):
         sign_changes(10.0, 30.0, 1e-310)
     assert z_calls == []
+
+
+def test_grid_over_the_point_cap_rejected_before_it_is_built(z_calls, monkeypatch):
+    # 3e9 points at step 1e-5 would take 24 GB for the grid alone
+    for call in (sign_changes, zeros_in):
+        with pytest.raises(ValueError, match="would hold 2999000000 points, more than 16777216$"):
+            call(10.0, 30000.0, 1e-5)
+    assert z_calls == []
+    # (30 - 10) / 0.25 = 80 steps: 81 points
+    monkeypatch.setattr(zeta, "_GRID_MAX", 80)
+    with pytest.raises(ValueError, match="would hold 81 points, more than 80$"):
+        sign_changes(10.0, 30.0, 0.25)
+    monkeypatch.setattr(zeta, "_GRID_MAX", 81)
+    assert len(sign_changes(10.0, 30.0, 0.25)) == 3
